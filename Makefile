@@ -19,6 +19,9 @@
 #                   zero level shifts
 #   make perf-smoke - columnar micro-ops vs the row oracle; fails if any
 #                   executor op drops below the 1.5x speedup gate
+#   make perfbench-test - the end-to-end benchmark's own tests; its tracer
+#                   wraps repro entry points by name, so a refactor under
+#                   src/ can break the benchmark without any tier-1 failure
 #   make serve-smoke - boot the HTTP service in-process on an ephemeral
 #                   port, drive a loadgen burst + backpressure probe
 #                   (all non-probe traffic 2xx, probe must see a 429),
@@ -33,11 +36,12 @@
 PYTHON ?= python
 
 .PHONY: lint compile test lint-corpus knowledge-lint trace-smoke \
-	chaos-smoke ledger-smoke telemetry-smoke perf-smoke serve-smoke \
-	debug-smoke bench
+	chaos-smoke ledger-smoke telemetry-smoke perf-smoke perfbench-test \
+	serve-smoke debug-smoke bench
 
 lint: compile test lint-corpus knowledge-lint trace-smoke chaos-smoke \
-	ledger-smoke telemetry-smoke perf-smoke serve-smoke debug-smoke
+	ledger-smoke telemetry-smoke perf-smoke perfbench-test serve-smoke \
+	debug-smoke
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -100,6 +104,9 @@ telemetry-smoke:
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_columnar_micro.py \
 		-q -s -p no:cacheprovider
+
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/tests
 
 serve-smoke:
 	rm -rf /tmp/repro-serve-smoke

@@ -93,12 +93,15 @@ class EvaluationCache:
         return entry[1]
 
     def _evict_stale(self, database_id, version):
+        # ``list()`` snapshots the keys in one C call, so a concurrent
+        # insert cannot change the dict mid-iteration; two threads may
+        # pick the same stale key, hence ``pop`` rather than ``del``.
         stale = [
-            key for key in self._results
+            key for key in list(self._results)
             if key[0] == database_id and key[1] != version
         ]
         for key in stale:
-            del self._results[key]
+            self._results.pop(key, None)
 
     # -- maintenance -----------------------------------------------------
 

@@ -1,28 +1,39 @@
-"""Frozen row-at-a-time reference engine (the differential-testing oracle).
+"""Row-at-a-time reference engine: the one row interpreter.
 
-This module preserves the original "straightforward iterator-free
-materialising engine" exactly as it was before the columnar rework of
-:mod:`repro.engine.executor`: every relation is a list of per-row binding
-dicts, every predicate and projection is evaluated one row environment at a
-time through :class:`~repro.engine.evaluator.Evaluator`, joins are nested
-loops, and grouping is a sequential scan.
+This module is the original "straightforward iterator-free materialising
+engine": every relation is a list of per-row binding dicts, every predicate
+and projection is evaluated one row environment at a time through
+:class:`~repro.engine.evaluator.Evaluator`, joins are nested loops, and
+grouping is a sequential scan.
 
-It exists so the equivalence suite (``tests/test_engine_equivalence.py``)
-can execute every statement through *both* engines and assert identical
-``Result.comparable()`` output — the columnar engine's fast paths (hash
-joins, vectorized predicates, hash grouping, the logical rewrite pass) are
-only trusted because this oracle agrees with them on the whole SQL corpus
-and every workload query. Do not "optimise" this module; its value is that
-it stays dumb.
+It plays two roles:
 
-Supported surface is identical to the executor's: CTEs (including
-references between CTEs), derived tables, all join kinds, WHERE/GROUP
-BY/HAVING, aggregates (with DISTINCT), window functions, correlated
-subqueries (scalar/IN/EXISTS), set operations, DISTINCT, ORDER BY
-(expressions, output aliases, ordinals), LIMIT/OFFSET.
+* It is the columnar :class:`~repro.engine.executor.Executor`'s row path.
+  ``Executor`` subclasses :class:`ReferenceExecutor` and overrides only
+  ``execute`` and ``_execute_select``; whatever its vector compiler cannot
+  express (window functions, correlated subqueries, ambiguous references)
+  is finished here through :meth:`ReferenceExecutor._select_rows`, and a
+  statement that raises during columnar execution is re-run here in full.
+* It is the differential-testing oracle. The equivalence suite
+  (``tests/test_engine_equivalence.py``) executes every statement through
+  both engines and asserts identical ``Result.comparable()`` output, which
+  is what lets the executor's fast paths (hash joins, vectorized
+  predicates, hash grouping, the logical rewrite pass) be trusted. On a
+  select the executor sends to the row fallback, that suite compares this
+  interpreter with itself; an independent oracle (SQLite, see ROADMAP.md)
+  is what will check those selects.
+
+Do not "optimise" this module; its value is that it stays dumb.
+
+Supported: CTEs (including references between CTEs), derived tables, all
+join kinds, WHERE/GROUP BY/HAVING, aggregates (with DISTINCT), window
+functions, correlated subqueries (scalar/IN/EXISTS), set operations,
+DISTINCT, ORDER BY (expressions, output aliases, ordinals), LIMIT/OFFSET.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from ..sql import ast_nodes as ast
 from ..sql.parser import parse_cached
@@ -35,9 +46,45 @@ from .evaluator import (
     contains_aggregate,
     find_window_functions,
 )
-from .executor import Result
 from .values import comparable_cell, sort_key
 from .window import evaluate_window, order_key_tuple
+
+
+class Result:
+    """A query result: ordered column names and tuple rows."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns, rows):
+        self.columns = list(columns)
+        self.rows = [tuple(row) for row in rows]
+
+    def comparable(self):
+        """Multiset of normalised rows, for Execution Accuracy comparison.
+
+        Sort keys are precomputed once per row (decorate–sort–undecorate);
+        the sort itself only ever compares key tuples.
+        """
+        normalised = [
+            tuple(comparable_cell(value) for value in row)
+            for row in self.rows
+        ]
+        decorated = [
+            (tuple(map(_stable_key, row)), row) for row in normalised
+        ]
+        decorated.sort(key=itemgetter(0))
+        return [row for _keys, row in decorated]
+
+    def __repr__(self):
+        return f"Result({self.columns!r}, {len(self.rows)} rows)"
+
+
+def _stable_key(value):
+    if value is None:
+        return (0, "")
+    if isinstance(value, (int, float)):
+        return (1, float(value))
+    return (2, str(value))
 
 
 class _CteScope:
@@ -176,6 +223,11 @@ class ReferenceExecutor:
                 env for env in row_envs
                 if self._evaluator.evaluate_predicate(select.where, env)
             ]
+        return self._select_rows(select, schema, row_envs, outer_env)
+
+    def _select_rows(self, select, schema, row_envs, outer_env):
+        """Everything after WHERE: grouping, HAVING, windows, projection,
+        DISTINCT, ORDER BY, OFFSET/LIMIT over filtered row environments."""
         grouped = self._needs_grouping(select)
         if grouped:
             row_envs = self._group(select, schema, row_envs, outer_env)
@@ -354,7 +406,7 @@ class ReferenceExecutor:
 
     # -- windows ----------------------------------------------------------
 
-    def _compute_windows(self, select, row_envs):
+    def _window_nodes(self, select):
         nodes = []
         for item in select.items:
             nodes.extend(find_window_functions(item.expr))
@@ -362,6 +414,10 @@ class ReferenceExecutor:
             nodes.extend(find_window_functions(order_item.expr))
         if select.having is not None:
             nodes.extend(find_window_functions(select.having))
+        return nodes
+
+    def _compute_windows(self, select, row_envs):
+        nodes = self._window_nodes(select)
         if not nodes:
             return
         for env in row_envs:
@@ -509,7 +565,7 @@ class ReferenceExecutor:
 
 
 # ---------------------------------------------------------------------------
-# helpers (frozen copies — the executor's may evolve independently)
+# helpers
 # ---------------------------------------------------------------------------
 
 
@@ -548,8 +604,3 @@ def _dedupe_pairs(rows_with_envs):
             seen.add(key)
             output.append((row, env))
     return output
-
-
-def reference_execute_sql(database, sql):
-    """Parse and execute ``sql`` on the frozen row-at-a-time reference path."""
-    return ReferenceExecutor(database).execute(sql)

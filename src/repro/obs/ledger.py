@@ -264,6 +264,7 @@ def _knowledge_entry(name, knowledge, knowledge_lint):
 
 
 def _exact_quantile(sorted_values, q):
+    """Nearest-rank quantile of an ascending list (0.0 when empty)."""
     if not sorted_values:
         return 0.0
     rank = max(1, math.ceil(q * len(sorted_values)))

@@ -31,6 +31,8 @@ from __future__ import annotations
 import html
 import json
 
+from .ledger import _exact_quantile
+
 #: Version of the watch/series JSON payload.
 TIMESERIES_SCHEMA_VERSION = 1
 
@@ -49,15 +51,6 @@ _LINT_FAMILIES = ("GE", "GK", "GP")
 
 
 # -- series extraction -------------------------------------------------------
-
-
-def _exact_quantile(sorted_values, q):
-    if not sorted_values:
-        return 0.0
-    import math
-
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
 
 
 def _family(code):

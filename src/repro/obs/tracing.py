@@ -10,10 +10,8 @@ stack is thread-local: two worker threads never see each other's spans.
 
 Spans are timed with :func:`time.perf_counter` (monotonic), carry free-form
 ``attributes``, an ``ok``/``error`` status (exceptions annotate the span
-and re-raise), and a list of :class:`SpanEvent` records — the successor of
-the pipeline's untimed ``TraceEvent``, which is now a back-compat alias of
-:class:`SpanEvent` (same fields, same ``str()`` rendering, so existing
-examples keep printing).
+and re-raise), and a list of :class:`SpanEvent` records — point-in-time
+``[operator] summary`` annotations, which the examples print as traces.
 
 Serialization is JSONL-friendly: :meth:`Span.to_record` emits one stable,
 versioned dict per span (see :data:`TRACE_SCHEMA_VERSION` and DESIGN.md's
@@ -166,12 +164,7 @@ def current_trace_id():
 
 @dataclass
 class SpanEvent:
-    """A point-in-time annotation on a span.
-
-    Field names (``operator``/``summary``/``detail``) and the ``str()``
-    form are inherited from the pipeline's original ``TraceEvent`` so that
-    every existing trace consumer keeps working unchanged.
-    """
+    """A point-in-time annotation on a span, rendered ``[operator] summary``."""
 
     operator: str
     summary: str

@@ -9,9 +9,6 @@ inspectable: every operator executes inside a timed
 :class:`~repro.obs.tracing.Tracer`, and the legacy ``add_trace`` events
 attach to the enclosing span (the examples print these traces to show the
 architecture; ``python -m repro trace`` renders the timed tree).
-
-:class:`TraceEvent` is kept as a back-compat alias of
-:class:`~repro.obs.tracing.SpanEvent` — same fields, same ``str()`` form.
 """
 
 from __future__ import annotations
@@ -20,12 +17,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..llm.interface import CallMeter
-from ..obs.tracing import SpanEvent, Tracer
-
-#: Back-compat alias: the untimed per-operator trace record is now a span
-#: event. Existing ``TraceEvent(operator=..., summary=..., detail=...)``
-#: construction and ``str(event)`` rendering are unchanged.
-TraceEvent = SpanEvent
+from ..obs.tracing import Tracer
 
 
 @dataclass

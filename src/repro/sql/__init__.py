@@ -1,7 +1,6 @@
 """SQL frontend: tokenizer, parser, AST, printer, diagnostics, rewriter,
 and the sub-statement decomposer used by GenEdit's knowledge set."""
 
-from .analyzer import AnalysisIssue, Analyzer
 from .decompose import SqlUnit, decompose
 from .diagnostics import Diagnostic, DiagnosticsEngine, Severity, diagnose
 from .errors import (
@@ -16,8 +15,6 @@ from .rewriter import to_cte_form
 from .tokens import Token, TokenType, tokenize
 
 __all__ = [
-    "AnalysisIssue",
-    "Analyzer",
     "Diagnostic",
     "DiagnosticsEngine",
     "Severity",

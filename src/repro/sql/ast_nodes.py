@@ -1,9 +1,9 @@
 """AST node definitions for the SQL dialect.
 
 Every node is a frozen-ish dataclass (mutable for rewriting convenience) with
-a uniform ``children()`` iterator so traversals — the analyzer, the CTE
-rewriter, and the example decomposer — can walk any tree without per-node
-logic. ``walk()`` yields nodes in pre-order.
+a uniform ``children()`` iterator so traversals — the diagnostics engine,
+the CTE rewriter, and the example decomposer — can walk any tree without
+per-node logic. ``walk()`` yields nodes in pre-order.
 
 The node set covers the dialect exercised by the GenEdit reproduction:
 SELECT blocks with joins/grouping/windows, CTEs, set operations, scalar and

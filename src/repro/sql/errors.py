@@ -2,8 +2,9 @@
 
 These are deliberately fine-grained: the GenEdit self-correction loop
 (``repro.pipeline.correction``) distinguishes *syntactic* errors (caught at
-parse time) from *semantic* errors (caught by the analyzer or the engine) and
-feeds the error class and message back into regeneration as context.
+parse time) from *semantic* errors (caught by the diagnostics engine or the
+execution engine) and feeds the error class and message back into
+regeneration as context.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class SqlSyntaxError(SqlError):
 
 
 class SqlAnalysisError(SqlError):
-    """Raised by the semantic analyzer for name-resolution failures.
+    """Raised by ``DiagnosticsEngine.check`` on an error-level finding.
 
     Examples: unknown table, unknown column, ambiguous column reference,
     aggregate misuse, or a mismatched number of columns in a set operation.

@@ -86,7 +86,7 @@ class Token:
     ``value`` holds the canonical text: keywords are upper-cased, string
     literals are unquoted (with doubled quotes collapsed), and identifiers
     keep their original case (SQL resolution is case-insensitive; the
-    analyzer normalises at lookup time).
+    diagnostics engine normalises at lookup time).
     """
 
     type: TokenType

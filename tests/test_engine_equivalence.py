@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from repro.engine import ExecutionError, Executor, Result
-from repro.engine.executor import _stable_key
+from repro.engine.reference import _stable_key
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.values import comparable_cell
 from repro.sql.errors import SqlError

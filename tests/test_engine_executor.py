@@ -11,6 +11,8 @@ from repro.engine.errors import (
     UnknownTableError,
 )
 from repro.engine.executor import Executor, execute_sql
+from repro.engine.reference import ReferenceExecutor
+from repro.engine.stats import engine_snapshot, reset_engine_stats
 
 
 def rows(executor, sql):
@@ -474,3 +476,68 @@ class TestResultHelpers:
 
     def test_execute_sql_helper(self, demo_db):
         assert execute_sql(demo_db, "SELECT COUNT(*) FROM EMP").rows == [(6,)]
+
+
+def counters(executor, sql):
+    """Engine counters for one statement; the error, if any, is returned."""
+    reset_engine_stats()
+    try:
+        executor.execute(sql)
+        error = None
+    except ExecutionError as raised:
+        error = raised
+    return engine_snapshot(), error
+
+
+class TestStagingCounters:
+    """Which selects run columnar, fall back to rows, or re-run on error.
+
+    One executor serves every statement of a test, so state left behind by
+    an erroring statement cannot leak into the next call unnoticed.
+    """
+
+    def test_error_rerun_matches_row_interpreter(self, demo_db):
+        executor = Executor(demo_db)
+        stats, error = counters(executor, "SELECT x FROM nope")
+        assert isinstance(error, UnknownTableError)
+        assert stats["error_reruns"] == 1
+        with pytest.raises(type(error)) as expected:
+            ReferenceExecutor(demo_db).execute("SELECT x FROM nope")
+        assert str(error) == str(expected.value)
+
+    def test_clean_select_after_error_runs_columnar(self, demo_db):
+        executor = Executor(demo_db)
+        stats, error = counters(executor, "SELECT NOPE FROM EMP")
+        assert isinstance(error, UnknownColumnError)
+        assert stats["row_fallback_selects"] == 1
+        assert stats["error_reruns"] == 1
+        stats, error = counters(executor, "SELECT EMP_NAME FROM EMP")
+        assert error is None
+        assert stats["columnar_selects"] == 1
+        assert stats["row_fallback_selects"] == 0
+        assert stats["error_reruns"] == 0
+
+    def test_window_select_falls_back(self, demo_db):
+        executor = Executor(demo_db)
+        counters(executor, "SELECT NOPE FROM EMP")
+        stats, error = counters(
+            executor, "SELECT EMP_NAME, RANK() OVER (ORDER BY SALARY) FROM EMP"
+        )
+        assert error is None
+        assert stats["row_fallback_selects"] == 1
+        assert stats["columnar_selects"] == 0
+
+    def test_correlated_where_falls_back_inner_stays_columnar(self, demo_db):
+        executor = Executor(demo_db)
+        counters(executor, "SELECT NOPE FROM EMP")
+        stats, error = counters(
+            executor,
+            "SELECT EMP_NAME FROM EMP e WHERE SALARY > "
+            "(SELECT AVG(SALARY) FROM EMP x WHERE x.DEPT_ID = e.DEPT_ID)",
+        )
+        assert error is None
+        assert stats["row_fallback_selects"] == 1
+        # The outer select falls back; its subquery runs once per EMP row,
+        # columnar each time.
+        assert stats["columnar_selects"] == 6
+        assert stats["error_reruns"] == 0

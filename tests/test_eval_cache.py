@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import sys
+import threading
 
 import pytest
 
@@ -69,6 +71,34 @@ class TestEvaluationCache:
         tiny_db.table("T").insert((3, "z"))
         cache.comparable(tiny_db, sql)
         assert cache.stats()["entries"] == 1
+
+    def test_concurrent_misses_do_not_race_eviction(self, tiny_db):
+        """Eviction scans must tolerate inserts from other threads."""
+        cache = EvaluationCache()
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(150):
+                    cache.comparable(tiny_db, f"SELECT A + {offset + i} FROM T")
+            except RuntimeError as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(1000 * k,))
+                for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert cache.stats()["entries"] == 600
 
     def test_explicit_invalidate(self, tiny_db):
         cache = EvaluationCache()

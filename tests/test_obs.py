@@ -21,7 +21,7 @@ from repro.obs.render import (
     render_span_tree,
     rollup_by_name,
 )
-from repro.obs.tracing import SpanEvent, Tracer, current_span
+from repro.obs.tracing import Tracer, current_span
 
 
 class TestTracer:
@@ -75,6 +75,7 @@ class TestTracer:
             event = tracer.add_event("op", "did a thing", {"k": 1})
         assert span.events == [event]
         assert str(event) == "[op] did a thing"
+        assert event.detail == {"k": 1}
 
     def test_orphan_events_kept(self):
         tracer = Tracer()
@@ -138,16 +139,6 @@ class TestTracer:
         assert record["status"] == "ok"
         assert record["attributes"] == {"question": "q", "llm.calls": 1}
         assert record["events"] == [{"operator": "root", "summary": "hello"}]
-
-
-class TestTraceEventAlias:
-    def test_alias_is_span_event(self):
-        from repro.pipeline.base import TraceEvent
-
-        assert TraceEvent is SpanEvent
-        event = TraceEvent(operator="op", summary="s", detail={"a": 1})
-        assert str(event) == "[op] s"
-        assert event.detail == {"a": 1}
 
 
 class TestHistogram:

@@ -1,19 +1,25 @@
-"""Analyzer tests: semantic validation against a catalog."""
+"""Semantic analysis against a catalog: the error-level findings of
+:class:`~repro.sql.diagnostics.DiagnosticsEngine` on scoping and
+name-resolution cases (warnings are covered in test_sql_diagnostics)."""
 
 import pytest
 
-from repro.sql.analyzer import Analyzer
+from repro.sql.diagnostics import DiagnosticsEngine, Severity
 from repro.sql.errors import SqlAnalysisError
 from repro.sql.parser import parse
 
 
 @pytest.fixture()
 def analyzer(demo_db):
-    return Analyzer(demo_db)
+    return DiagnosticsEngine(demo_db)
 
 
 def issues(analyzer, sql):
-    return [issue.kind for issue in analyzer.analyze(parse(sql))]
+    """Slugs of the error-level diagnostics for ``sql``."""
+    return [
+        diag.slug for diag in analyzer.run(parse(sql))
+        if diag.severity is Severity.ERROR
+    ]
 
 
 class TestCleanQueries:

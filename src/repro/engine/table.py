@@ -63,6 +63,7 @@ class Table:
         self.rows = []
         self.version = 0
         self._arrays_cache = None
+        self._top_values_cache = None
         for row in rows or []:
             self.insert(row)
 
@@ -153,15 +154,36 @@ class Table:
 
         Ties break deterministically by value text so profiling is stable
         across runs — the knowledge set snapshots these into schema elements.
+        Memoized per ``(COLUMN, k)`` under the same ``(version, row count)``
+        key as :meth:`column_arrays` (the knowledge linter re-checks every
+        schema element's values on each gate run); each call returns a
+        fresh list.
         """
-        position = self.column_position(column_name)
-        counts = Counter(
-            row[position] for row in self.rows if row[position] is not None
-        )
-        ranked = sorted(
-            counts.items(), key=lambda item: (-item[1], str(item[0]))
-        )
-        return [value for value, _count in ranked[:k]]
+        cached = self._top_values_cache
+        if (
+            cached is None
+            or cached[0] != self.version
+            or cached[1] != len(self.rows)
+        ):
+            cached = self._top_values_cache = (
+                self.version, len(self.rows), {}
+            )
+        memo = cached[2]
+        key = (column_name.upper(), k)
+        values = memo.get(key)
+        if values is None:
+            position = self.column_position(column_name)
+            counts = Counter(
+                row[position] for row in self.rows
+                if row[position] is not None
+            )
+            ranked = sorted(
+                counts.items(), key=lambda item: (-item[1], str(item[0]))
+            )
+            values = memo[key] = tuple(
+                value for value, _count in ranked[:k]
+            )
+        return list(values)
 
     def __len__(self):
         return len(self.rows)

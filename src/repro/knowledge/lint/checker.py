@@ -37,7 +37,7 @@ from ...sql.decompose import (
 )
 from ...sql.diagnostics import DiagnosticsEngine
 from ...sql.errors import SqlError
-from ...sql.parser import parse
+from ...sql.parser import parse, parse_cached
 from ...text.similarity import cosine
 from ...text.vectorize import TfIdfVectorizer
 from ..models import INSTRUCTION_TERM
@@ -309,11 +309,13 @@ def _fragment_candidates(sql, kind):
 
 
 def _fragment_parses(sql, kind):
+    # Only whether a wrapping parses matters, so the shared AST cache
+    # serves every gate run after the first (failures are not cached).
     if not sql.strip():
         return False
     for candidate in _fragment_candidates(sql, kind):
         try:
-            parse(candidate)
+            parse_cached(candidate)
             return True
         except SqlError:
             continue

@@ -7,11 +7,15 @@ followed by cosine re-ranking. It supports the full edit vocabulary of the
 paper's continuous-improvement module: insert, update, and delete of
 examples and instructions (§4.1), plus snapshot/restore for the history and
 checkpointing machinery (§4.2.2).
+
+Components are frozen values (see :mod:`repro.knowledge.models`), so
+snapshots, restores and clones share them instead of copying. A
+:meth:`KnowledgeSet.clone` — the Feedback Solver's staging set — also
+shares each index's built state through :meth:`RetrievalIndex.copy`: it
+costs what the staged edits change, not what the set holds.
 """
 
 from __future__ import annotations
-
-import copy
 
 from ..text.index import RetrievalIndex
 from .models import (
@@ -201,15 +205,17 @@ class KnowledgeSet:
     # -- snapshot / restore ----------------------------------------------------------
 
     def snapshot(self):
-        """Deep, immutable-enough copy of all components (for checkpoints)."""
+        """All components, sorted by id (for checkpoints).
+
+        Components are frozen, so the snapshot shares them with the live
+        set; only the lists are new.
+        """
         return {
             "name": self.name,
-            "intents": [copy.deepcopy(i) for i in self.intents()],
-            "examples": [copy.deepcopy(e) for e in self.examples()],
-            "instructions": [copy.deepcopy(i) for i in self.instructions()],
-            "schema_elements": [
-                copy.deepcopy(s) for s in self.schema_elements()
-            ],
+            "intents": self.intents(),
+            "examples": self.examples(),
+            "instructions": self.instructions(),
+            "schema_elements": self.schema_elements(),
         }
 
     def restore(self, snapshot):
@@ -224,15 +230,32 @@ class KnowledgeSet:
         self._schema_index = RetrievalIndex()
         self._intent_index = RetrievalIndex()
         for intent in snapshot["intents"]:
-            self.add_intent(copy.deepcopy(intent))
+            self.add_intent(intent)
         for example in snapshot["examples"]:
-            self.add_example(copy.deepcopy(example))
+            self.add_example(example)
         for instruction in snapshot["instructions"]:
-            self.add_instruction(copy.deepcopy(instruction))
+            self.add_instruction(instruction)
         for element in snapshot["schema_elements"]:
-            self.add_schema_element(copy.deepcopy(element))
+            self.add_schema_element(element)
         return self
 
     def clone(self):
-        """Independent copy (used to build staging environments)."""
-        return KnowledgeSet(self.name).restore(self.snapshot())
+        """Independent copy (used to build staging environments).
+
+        Copies the four component maps (the frozen components themselves
+        are shared) and each retrieval index via
+        :meth:`RetrievalIndex.copy`, which shares the built postings and
+        per-document token caches. An unedited clone never rebuilds an
+        index; an edited one re-fits IDF without re-tokenizing. Edits to
+        either side never reach the other.
+        """
+        twin = KnowledgeSet(self.name)
+        twin._intents = dict(self._intents)
+        twin._examples = dict(self._examples)
+        twin._instructions = dict(self._instructions)
+        twin._schema_elements = dict(self._schema_elements)
+        twin._example_index = self._example_index.copy()
+        twin._instruction_index = self._instruction_index.copy()
+        twin._schema_index = self._schema_index.copy()
+        twin._intent_index = self._intent_index.copy()
+        return twin

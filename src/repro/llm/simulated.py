@@ -130,6 +130,9 @@ class SimulatedLLM:
             # linkers may each compute the tuple, but publication is a
             # single attribute store of an immutable value (atomic swap),
             # so every reader sees either nothing or the full signature.
+            # Elements are frozen, so the memo bypasses ``__setattr__``; it
+            # lands in the instance ``__dict__``, not in a field, so repr,
+            # equality and knowledge fingerprints never see it.
             cached = element.__dict__.get("_link_signature")
             if cached is None:
                 cached = (
@@ -139,7 +142,7 @@ class SimulatedLLM:
                     ),
                     tuple(str(value).lower() for value in element.top_values),
                 )
-                element._link_signature = cached
+                object.__setattr__(element, "_link_signature", cached)
             tokens, name_tokens, lowered_values = cached
             overlap = len(question_tokens & tokens)
             score = float(overlap)

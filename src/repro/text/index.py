@@ -28,8 +28,9 @@ from __future__ import annotations
 import logging
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from ..obs.metrics import get_metrics
 from .normalize import normalize
 from .similarity import cosine_with_norms, l2_norm
 from .vectorize import TfIdfVectorizer
@@ -44,11 +45,13 @@ FALLBACK_SCAN_CAP = 512
 #: Memoized query transforms kept per index between mutations.
 QUERY_CACHE_SIZE = 256
 
-#: Serialises lazy refreshes. Module-level (not per-instance) so indexes
-#: cloned via ``KnowledgeSet.clone()``/snapshot-restore need no lock
-#: plumbing; refreshes are rare (warmup and post-edit), so one process-wide
-#: lock costs nothing while guaranteeing two concurrent first searches
-#: can't both rebuild and interleave partially-built postings tables.
+#: Serialises lazy refreshes and :meth:`RetrievalIndex.copy`. Module-level
+#: (not per-instance) so indexes copied by ``KnowledgeSet.clone()`` need no
+#: lock plumbing; refreshes are rare (warmup and post-edit) and a copy is a
+#: handful of dict copies, so one process-wide lock costs nothing while
+#: guaranteeing two concurrent first searches can't both rebuild and
+#: interleave partially-built postings tables, and a copy never captures a
+#: half-refreshed index.
 _REFRESH_LOCK = threading.Lock()
 
 
@@ -101,11 +104,37 @@ class RetrievalIndex:
         self._dirty = True
 
     def remove(self, doc_id):
-        self._documents.pop(doc_id, None)
-        self._dirty = True
+        """Drop a document; removing an absent id is a no-op."""
+        if self._documents.pop(doc_id, None) is not None:
+            self._dirty = True
 
     def get(self, doc_id):
         return self._documents.get(doc_id)
+
+    def copy(self):
+        """An independent index that shares this one's built state.
+
+        Each document is copied shallowly, because a refresh rewrites
+        ``vector`` and ``norm`` per index, but its cached tokens, terms and
+        counts (never mutated) are shared. The published inverted index,
+        postings and vectorizer are shared too: a refresh replaces them
+        and never mutates them in place. The dirty flag and the query
+        cache carry over, so an unedited copy never refreshes and an edited
+        one re-fits IDF without re-tokenizing a single document.
+        """
+        twin = RetrievalIndex()
+        with _REFRESH_LOCK:
+            twin._documents = {
+                doc_id: replace(document)
+                for doc_id, document in self._documents.items()
+            }
+            twin._inverted = self._inverted
+            twin._postings = self._postings
+            twin._vectorizer = self._vectorizer
+            twin._query_cache = dict(self._query_cache)
+            twin._dirty = self._dirty
+            twin._fallback_warned = self._fallback_warned
+        return twin
 
     def documents(self):
         return list(self._documents.values())
@@ -283,3 +312,4 @@ class RetrievalIndex:
         self._query_cache = {}
         self._dirty = False
         self._fallback_warned = False
+        get_metrics().inc("retrieval.index_refreshes")

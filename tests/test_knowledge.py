@@ -1,5 +1,7 @@
 """Knowledge-set tests: models, store, mining, versioning, library."""
 
+import dataclasses
+
 import pytest
 
 from repro.knowledge import (
@@ -130,8 +132,10 @@ class TestStore:
         assert knowledge.example("ex1") is not None
 
     def test_snapshot_deep_copies(self, knowledge):
+        """Snapshots share frozen components, so they cannot be mutated."""
         snapshot = knowledge.snapshot()
-        snapshot["examples"][0].description = "mutated"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot["examples"][0].description = "mutated"
         assert knowledge.example("ex1").description != "mutated"
 
     def test_add_example_invalidates_index_norms(self, knowledge):
@@ -157,6 +161,113 @@ class TestStore:
             hit.doc_id != "ex1"
             for hit in knowledge.search_examples("filter by country", k=2)
         )
+
+
+def _all_hits(knowledge, queries):
+    """Every ``search_*`` result for ``queries``, as (id, score) lists."""
+    results = []
+    for query in queries:
+        candidates = [example.example_id for example in knowledge.examples()]
+        for hits in (
+            knowledge.search_examples(query),
+            knowledge.search_examples(
+                query, k=5, candidates=candidates[::3], extra_text="total"
+            ),
+            knowledge.search_instructions(query),
+            knowledge.search_schema(query),
+            knowledge.search_intents(query),
+        ):
+            results.append([(hit.doc_id, hit.score) for hit in hits])
+    return results
+
+
+def _refreshes():
+    from repro.obs.metrics import get_metrics
+
+    return get_metrics().counter_value("retrieval.index_refreshes")
+
+
+class TestCopyOnWriteClone:
+    """``clone()`` shares built index state without sharing edits."""
+
+    @pytest.fixture()
+    def live(self, experiment_context):
+        return experiment_context.knowledge_sets["sports_holdings"]
+
+    @pytest.fixture()
+    def queries(self, experiment_context):
+        return [
+            question.question for question in
+            experiment_context.workload.for_database("sports_holdings")[:6]
+        ]
+
+    @staticmethod
+    def _edit(clone):
+        example = clone.examples()[0]
+        clone.add_example(DecomposedExample(
+            "ex-cow-new", "wombat census per organisation country",
+            "WHERE COUNTRY = 'Wombatia'", kind="where",
+            intent_ids=example.intent_ids,
+        ))
+        clone.update_example(dataclasses.replace(
+            example, description=f"{example.description} revenue total",
+        ))
+        clone.delete_instruction(clone.instructions()[0].instruction_id)
+
+    def test_live_set_unaffected_by_clone_edits(self, live, queries):
+        before = _all_hits(live, queries)
+        clone = live.clone()
+        self._edit(clone)
+        _all_hits(clone, queries)
+        assert _all_hits(live, queries) == before
+        assert live.example("ex-cow-new") is None
+
+    def test_edited_clone_matches_rebuild(self, live, queries):
+        _all_hits(live, queries)
+        clone = live.clone()
+        self._edit(clone)
+        rebuilt = KnowledgeSet(live.name).restore(clone.snapshot())
+        assert _all_hits(clone, queries) == _all_hits(rebuilt, queries)
+
+    def test_unedited_clone_never_refreshes(self, live, queries):
+        before = _all_hits(live, queries)
+        refreshes = _refreshes()
+        clone = live.clone()
+        assert _all_hits(clone, queries) == before
+        assert _refreshes() == refreshes
+
+    def test_edited_clone_refreshes_only_edited_indexes(self, live, queries):
+        _all_hits(live, queries)
+        refreshes = _refreshes()
+        clone = live.clone()
+        clone.delete_example(clone.examples()[0].example_id)
+        _all_hits(clone, queries)
+        assert _refreshes() == refreshes + 1
+
+    def test_deleting_absent_id_is_a_no_op(self, knowledge):
+        knowledge.search_examples("country")
+        knowledge.search_instructions("country")
+        refreshes = _refreshes()
+        knowledge.delete_example("nope")
+        knowledge.delete_instruction("nope")
+        assert not knowledge._example_index._dirty
+        assert not knowledge._instruction_index._dirty
+        knowledge.search_examples("country")
+        knowledge.search_instructions("country")
+        assert _refreshes() == refreshes
+
+    def test_top_values_memo_invalidates_on_insert(self, demo_db):
+        table = demo_db.table("DEPT")
+        first = table.top_values("REGION", 2)
+        assert first == ["West", "East"]
+        first.append("mutated")
+        assert table.top_values("region", 2) == ["West", "East"]
+        assert table.top_values("REGION", 2) is not table.top_values(
+            "REGION", 2
+        )
+        table.insert((4, "Ops", "East", 10.0))
+        table.insert((5, "Legal", "East", 10.0))
+        assert table.top_values("REGION", 2) == ["East", "West"]
 
 
 class TestDecompositionBuilders:

@@ -10,6 +10,7 @@ locks these tests fail intermittently; with them they must never fail.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -155,6 +156,67 @@ class TestLinkSignatureCache:
 
         _hammer(worker)
         assert results == [expected] * THREADS
+
+
+class TestKnowledgeCloneIsolation:
+    def test_clone_edit_search_races_leave_live_results_intact(
+        self, experiment_context
+    ):
+        """Readers search a cold live set while writers clone and edit it.
+
+        ``RetrievalIndex.copy`` shares the published postings and runs
+        under the refresh lock, so a copy taken mid-refresh and a clone's
+        own post-edit refresh must never leak into the live set's results.
+        """
+        from repro.knowledge import KnowledgeSet
+
+        snapshot = experiment_context.knowledge_sets[
+            "sports_holdings"
+        ].snapshot()
+        queries = [
+            question.question for question in
+            experiment_context.workload.for_database("sports_holdings")[:4]
+        ]
+
+        def hits(knowledge):
+            return [
+                [(hit.doc_id, hit.score) for hit in search(query)]
+                for query in queries
+                for search in (
+                    knowledge.search_examples,
+                    knowledge.search_instructions,
+                    knowledge.search_schema,
+                    knowledge.search_intents,
+                )
+            ]
+
+        def edited_clone(knowledge):
+            clone = knowledge.clone()
+            clone.delete_example(clone.examples()[0].example_id)
+            clone.delete_instruction(
+                clone.instructions()[0].instruction_id
+            )
+            return clone
+
+        serial = KnowledgeSet(snapshot["name"]).restore(snapshot)
+        expected_live = hits(serial)
+        expected_edited = hits(edited_clone(serial))
+        live = KnowledgeSet(snapshot["name"]).restore(snapshot)
+
+        def worker(index):
+            for _ in range(3):
+                if index % 2:
+                    assert hits(edited_clone(live)) == expected_edited
+                else:
+                    assert hits(live) == expected_live
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert hits(live) == expected_live
 
 
 class TestCircuitBreakerAtomicity:

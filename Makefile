@@ -20,7 +20,9 @@
 #   make perf-smoke - columnar micro-ops vs the row oracle; fails if any
 #                   executor op drops below the 1.5x speedup gate, or if a
 #                   knowledge-set clone + first search drops below 5x
-#                   over a rebuild from a snapshot
+#                   over a rebuild from a snapshot, or if regression
+#                   testing against a warm live-version memo drops below
+#                   1.5x over a cold one
 #   make perfbench-test - the end-to-end benchmark's own tests; its tracer
 #                   wraps repro entry points by name, so a refactor under
 #                   src/ can break the benchmark without any tier-1 failure
@@ -105,7 +107,8 @@ telemetry-smoke:
 
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_columnar_micro.py \
-		benchmarks/test_knowledge_clone_micro.py -q -s -p no:cacheprovider
+		benchmarks/test_knowledge_clone_micro.py \
+		benchmarks/test_regression_reuse_micro.py -q -s -p no:cacheprovider
 
 perfbench-test:
 	$(PYTHON) -m pytest -q perfbench/tests

@@ -17,6 +17,14 @@ the "before" side is read straight out of the record for every golden
 query the baseline already evaluated: recorded correctness and lint codes
 stand in for a fresh live-pipeline generation, the live pipeline is built
 lazily only for baseline misses, and the report cites the baseline run id.
+
+Both sides' golden outcomes are also memoized per knowledge-set version
+(:meth:`~repro.knowledge.store.KnowledgeSet.derived`): the live set only
+changes when an approver merges an edit, so every submission in between
+reuses the live answers the first one computed, and an unedited staged
+set reuses the live set's. The ledger baseline covers what was recorded
+in an earlier process; the memo covers this one. The knowledge gate reads
+each side's lint findings through the same memo.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass, field
 from ..bench.metrics import execution_match
 from ..obs.metrics import get_metrics
 from ..obs.tracing import Tracer
+from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
 from ..sql.diagnostics import DiagnosticsEngine
 
@@ -119,7 +128,12 @@ def run_regression(database, live_knowledge, staged_knowledge,
     its recorded correctness and lint codes for the "before" side, so the
     live pipeline only runs for baseline misses — and the report names the
     run it was compared against.
+
+    Outcomes not in the baseline come from each knowledge set's version
+    memo (see :func:`_golden_outcome`), so a pipeline is built and run
+    only for memo misses.
     """
+    config = config or DEFAULT_CONFIG
     baseline_outcomes = {}
     baseline_run_id = ""
     if baseline is not None:
@@ -127,46 +141,55 @@ def run_regression(database, live_knowledge, staged_knowledge,
 
         baseline_outcomes = outcomes_by_question(baseline)
         baseline_run_id = baseline.get("run_id", "")
-    before = None
+    pipelines = {}
 
-    def before_pipeline():
-        # Built lazily: with a full-coverage baseline it never exists.
-        nonlocal before
-        if before is None:
-            before = GenEditPipeline(database, live_knowledge, config=config)
-        return before
+    def pipeline(knowledge):
+        # Built lazily: with a warm memo or a full-coverage baseline, the
+        # live side's never exists.
+        if knowledge not in pipelines:
+            pipelines[knowledge] = GenEditPipeline(
+                database, knowledge, config=config
+            )
+        return pipelines[knowledge]
 
-    after = GenEditPipeline(database, staged_knowledge, config=config)
     engine = DiagnosticsEngine(database)
     report = RegressionReport(baseline_run_id=baseline_run_id)
+    reused_total = 0
     tracer = tracer or Tracer()
     with tracer.span("regression", golden=len(golden_queries)) as root:
         for golden in golden_queries:
             with tracer.span(
                 "regression.golden", question=golden.question
             ) as span:
+                reused = []
                 recorded = baseline_outcomes.get(golden.question)
                 if recorded is not None:
                     report.baseline_hits += 1
                     span.set_attr("baseline", baseline_run_id)
                     correct_before = bool(recorded["correct"])
-                    codes_before = set(recorded.get("lint_codes", ()))
+                    codes_before = frozenset(recorded.get("lint_codes", ()))
                 else:
-                    result_before = before_pipeline().generate(golden.question)
-                    correct_before = execution_match(
-                        database, result_before.sql, golden.gold_sql
+                    correct_before, codes_before, hit = _golden_outcome(
+                        database, live_knowledge, config, golden, engine,
+                        pipeline,
                     )
-                    codes_before = _error_codes(engine, result_before.sql)
-                result_after = after.generate(golden.question)
-                codes_after = _error_codes(engine, result_after.sql)
+                    if hit:
+                        reused.append("before")
+                correct_after, codes_after, hit = _golden_outcome(
+                    database, staged_knowledge, config, golden, engine,
+                    pipeline,
+                )
+                if hit:
+                    reused.append("after")
                 result = RegressionResult(
                     question=golden.question,
                     correct_before=correct_before,
-                    correct_after=execution_match(
-                        database, result_after.sql, golden.gold_sql
-                    ),
+                    correct_after=correct_after,
                     new_error_codes=tuple(sorted(codes_after - codes_before)),
                 )
+                if reused:
+                    reused_total += len(reused)
+                    span.set_attr("reused", " ".join(reused))
                 span.set_attr("regressed", result.regressed)
                 span.set_attr("improved", result.improved)
                 if result.new_error_codes:
@@ -181,14 +204,51 @@ def run_regression(database, live_knowledge, staged_knowledge,
     metrics.inc("regression.improvements", len(report.improvements))
     if report.baseline_hits:
         metrics.inc("regression.baseline_hits", report.baseline_hits)
+    if reused_total:
+        metrics.inc("regression.reused", reused_total)
     return report
 
 
+def _golden_outcome(database, knowledge, config, golden, engine, pipeline):
+    """``(correct, error codes, reused)`` for ``knowledge``'s answer to
+    ``golden``.
+
+    The outcome is memoized on ``knowledge``'s version together with
+    everything else it depends on; ``pipeline(knowledge)`` is asked for a
+    pipeline only on a miss, and ``reused`` says whether this was a hit.
+    """
+    def compute():
+        sql = pipeline(knowledge).generate(golden.question).sql
+        return (
+            execution_match(database, sql, golden.gold_sql),
+            _error_codes(engine, sql),
+        )
+
+    key = ("golden", database, database.version, repr(config),
+           golden.question, golden.gold_sql)
+    (correct, codes), reused = _memoized(knowledge, key, compute)
+    return correct, codes, reused
+
+
+def _memoized(knowledge, key, compute):
+    """``knowledge.derived(key, compute)`` and whether it was a hit."""
+    computed = False
+
+    def run():
+        nonlocal computed
+        computed = True
+        return compute()
+
+    return knowledge.derived(key, run), not computed
+
+
 def _error_codes(engine, sql):
-    """The set of error-level diagnostic codes for ``sql`` ('' lints clean)."""
+    """The error-level diagnostic codes for ``sql`` ('' lints clean)."""
     if not sql:
-        return set()
-    return {diag.code for diag in engine.run_sql(sql) if diag.is_error}
+        return frozenset()
+    return frozenset(
+        diag.code for diag in engine.run_sql(sql) if diag.is_error
+    )
 
 
 # -- knowledge gate ----------------------------------------------------------
@@ -228,13 +288,28 @@ class KnowledgeGateReport:
 
 def run_knowledge_gate(database, live_knowledge, staged_knowledge,
                        tracer=None):
-    """Lint live vs. staged knowledge; fail on new error-level findings."""
+    """Lint live vs. staged knowledge; fail on new error-level findings.
+
+    Each side's findings are memoized on its knowledge-set version, so the
+    live set is linted once per version, not once per submission.
+    """
     from ..knowledge.lint import finding_keys, lint_knowledge
+
+    reused = 0
+
+    def findings(knowledge):
+        nonlocal reused
+        result, hit = _memoized(
+            knowledge, ("lint", database, database.version),
+            lambda: tuple(lint_knowledge(knowledge, database)),
+        )
+        reused += hit
+        return result
 
     tracer = tracer or Tracer()
     with tracer.span("knowledge_gate") as span:
-        live_findings = lint_knowledge(live_knowledge, database)
-        staged_findings = lint_knowledge(staged_knowledge, database)
+        live_findings = findings(live_knowledge)
+        staged_findings = findings(staged_knowledge)
         live_keys = finding_keys(live_findings)
         new_findings = sorted(
             (
@@ -260,6 +335,8 @@ def run_knowledge_gate(database, live_knowledge, staged_knowledge,
             )
     metrics = get_metrics()
     metrics.inc("knowledge_gate.runs")
+    if reused:
+        metrics.inc("knowledge_gate.reused", reused)
     if not report.passed:
         metrics.inc("knowledge_gate.rejections")
     return report

@@ -50,8 +50,10 @@ class FeedbackSolver:
         self.result = None
         self.feedback = None
         self.recommendations = []
-        self._staged_ids = []
         self._iterations = 0
+        #: ``(staged edit ids, live version, staged set)`` of the last
+        #: :meth:`staging_knowledge` call.
+        self._staging = None
 
     # -- generation ----------------------------------------------------------
 
@@ -122,16 +124,12 @@ class FeedbackSolver:
         for edit in self.recommendations:
             if edit.edit_id in wanted:
                 edit.status = STATUS_STAGED
-                if edit.edit_id not in self._staged_ids:
-                    self._staged_ids.append(edit.edit_id)
         return self.staged_edits()
 
     def dismiss(self, *edit_ids):
         for edit in self.recommendations:
             if edit.edit_id in edit_ids:
                 edit.status = STATUS_DISMISSED
-                if edit.edit_id in self._staged_ids:
-                    self._staged_ids.remove(edit.edit_id)
         return self.staged_edits()
 
     def staged_edits(self):
@@ -141,10 +139,25 @@ class FeedbackSolver:
         ]
 
     def staging_knowledge(self):
-        """A clone of the live knowledge set with staged edits applied."""
-        staged = self.pipeline.knowledge.clone()
-        for edit in self.staged_edits():
+        """A clone of the live knowledge set with staged edits applied.
+
+        The same set comes back while the staged edit ids and the live
+        set's version are unchanged, so :meth:`submit` reuses what
+        :meth:`regenerate` built (and its indexes and memo). Callers must
+        not edit it.
+        """
+        live = self.pipeline.knowledge
+        edits = self.staged_edits()
+        ids = tuple(edit.edit_id for edit in edits)
+        if self._staging is not None:
+            staged_ids, version, staged = self._staging
+            if staged_ids == ids and version is live.version:
+                return staged
+        version = live.version
+        staged = live.clone()
+        for edit in edits:
             apply_edit(staged, edit)
+        self._staging = (ids, version, staged)
         return staged
 
     # -- regenerate / iterate ----------------------------------------------------------

@@ -13,6 +13,13 @@ snapshots, restores and clones share them instead of copying. A
 :meth:`KnowledgeSet.clone` — the Feedback Solver's staging set — also
 shares each index's built state through :meth:`RetrievalIndex.copy`: it
 costs what the staged edits change, not what the set holds.
+
+Work that depends only on one version of the contents — a golden query's
+regression outcome, the knowledge gate's lint — is memoized per version
+through :meth:`KnowledgeSet.derived`. Every edit gives the set a fresh
+memo (replaced, never cleared) and a clone shares its source's memo, so
+an unedited staging or session clone reuses everything the live set has
+already computed, and an edit on either side never leaks into the other.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ from .models import (
     Intent,
     SchemaElement,
 )
+
+#: Entries a version memo holds before it is cleared (the same
+#: clear-on-overflow bound as the retrieval index's query cache).
+DERIVED_SIZE = 256
+
+_MISSING = object()
 
 
 class KnowledgeSet:
@@ -39,6 +52,38 @@ class KnowledgeSet:
         self._instruction_index = RetrievalIndex()
         self._schema_index = RetrievalIndex()
         self._intent_index = RetrievalIndex()
+        self._derived = {}
+
+    # -- per-version memo ----------------------------------------------------
+
+    @property
+    def version(self):
+        """Opaque token for the current contents: compare with ``is``.
+
+        Every edit replaces it; an unedited clone shares its source's.
+        """
+        return self._derived
+
+    def derived(self, key, compute):
+        """``compute()``, memoized for this version of the contents.
+
+        ``key`` must name everything else the value depends on (database
+        version, config, ...). Two threads missing the same key at once
+        both compute it, and the last write wins: entries are
+        deterministic, so either value is correct.
+        """
+        memo = self._derived
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = compute()
+            if len(memo) >= DERIVED_SIZE:
+                memo.clear()
+            memo[key] = value
+        return value
+
+    def _edited(self):
+        # Replace, never clear: a clone may still share the old memo.
+        self._derived = {}
 
     # -- intents ----------------------------------------------------------
 
@@ -49,6 +94,7 @@ class KnowledgeSet:
             f"{intent.name}\n{intent.description}",
             {"kind": "intent"},
         )
+        self._edited()
         return intent
 
     def intent(self, intent_id):
@@ -69,6 +115,7 @@ class KnowledgeSet:
             example.retrieval_text,
             {"kind": "example"},
         )
+        self._edited()
         return example
 
     def update_example(self, example: DecomposedExample):
@@ -79,6 +126,7 @@ class KnowledgeSet:
     def delete_example(self, example_id):
         self._examples.pop(example_id, None)
         self._example_index.remove(example_id)
+        self._edited()
 
     def example(self, example_id):
         return self._examples.get(example_id)
@@ -109,6 +157,7 @@ class KnowledgeSet:
             instruction.retrieval_text,
             {"kind": "instruction"},
         )
+        self._edited()
         return instruction
 
     def update_instruction(self, instruction: Instruction):
@@ -121,6 +170,7 @@ class KnowledgeSet:
     def delete_instruction(self, instruction_id):
         self._instructions.pop(instruction_id, None)
         self._instruction_index.remove(instruction_id)
+        self._edited()
 
     def instruction(self, instruction_id):
         return self._instructions.get(instruction_id)
@@ -159,11 +209,13 @@ class KnowledgeSet:
             element.retrieval_text,
             {"kind": "schema"},
         )
+        self._edited()
         return element
 
     def delete_schema_element(self, element_id):
         self._schema_elements.pop(element_id, None)
         self._schema_index.remove(element_id)
+        self._edited()
 
     def schema_element(self, element_id):
         return self._schema_elements.get(element_id)
@@ -229,6 +281,7 @@ class KnowledgeSet:
         self._instruction_index = RetrievalIndex()
         self._schema_index = RetrievalIndex()
         self._intent_index = RetrievalIndex()
+        self._edited()
         for intent in snapshot["intents"]:
             self.add_intent(intent)
         for example in snapshot["examples"]:
@@ -246,7 +299,8 @@ class KnowledgeSet:
         are shared) and each retrieval index via
         :meth:`RetrievalIndex.copy`, which shares the built postings and
         per-document token caches. An unedited clone never rebuilds an
-        index; an edited one re-fits IDF without re-tokenizing. Edits to
+        index; an edited one re-fits IDF without re-tokenizing. The twin
+        shares the version memo until either side's first edit. Edits to
         either side never reach the other.
         """
         twin = KnowledgeSet(self.name)
@@ -258,4 +312,5 @@ class KnowledgeSet:
         twin._instruction_index = self._instruction_index.copy()
         twin._schema_index = self._schema_index.copy()
         twin._intent_index = self._intent_index.copy()
+        twin._derived = self._derived
         return twin

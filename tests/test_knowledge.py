@@ -16,6 +16,7 @@ from repro.knowledge import (
     KnowledgeSetHistory,
     LoggedQuery,
     Provenance,
+    SchemaElement,
     build_examples,
     build_full_query_example,
     describe_unit,
@@ -268,6 +269,107 @@ class TestCopyOnWriteClone:
         table.insert((4, "Ops", "East", 10.0))
         table.insert((5, "Legal", "East", 10.0))
         assert table.top_values("REGION", 2) == ["East", "West"]
+
+
+def _memoized(knowledge, key="k", value="fresh"):
+    """``knowledge.derived(key)`` and whether it computed ``value``."""
+    calls = []
+    result = knowledge.derived(key, lambda: calls.append(1) or value)
+    return result, bool(calls)
+
+
+_MUTATIONS = {
+    "add_intent": lambda ks: ks.add_intent(Intent("i9", "ops", "ops")),
+    "add_example": lambda ks: ks.add_example(
+        DecomposedExample("ex9", "Count rows", "COUNT(*)", kind="select")
+    ),
+    "update_example": lambda ks: ks.update_example(dataclasses.replace(
+        ks.example("ex1"), description="Filter rows by nation",
+    )),
+    "delete_example": lambda ks: ks.delete_example("ex1"),
+    "add_instruction": lambda ks: ks.add_instruction(
+        Instruction("in9", "AOV means average order value")
+    ),
+    "update_instruction": lambda ks: ks.update_instruction(
+        dataclasses.replace(ks.instruction("in1"), text="RPV is R / V")
+    ),
+    "delete_instruction": lambda ks: ks.delete_instruction("in1"),
+    "add_schema_element": lambda ks: ks.add_schema_element(
+        SchemaElement("se9", "ORGS", "COUNTRY")
+    ),
+    "delete_schema_element": lambda ks: ks.delete_schema_element("se9"),
+    "restore": lambda ks: ks.restore(ks.snapshot()),
+}
+
+
+class TestVersionMemo:
+    """``derived()`` memoizes per version of a knowledge set's contents."""
+
+    def test_hit_after_miss(self, knowledge):
+        assert _memoized(knowledge) == ("fresh", True)
+        assert _memoized(knowledge, value="other") == ("fresh", False)
+        assert _memoized(knowledge, key="k2") == ("fresh", True)
+
+    def test_clone_shares_memo(self, knowledge):
+        _memoized(knowledge)
+        clone = knowledge.clone()
+        assert clone.version is knowledge.version
+        assert _memoized(clone, value="clone") == ("fresh", False)
+        _memoized(clone, key="from-clone", value="clone")
+        assert _memoized(knowledge, key="from-clone") == ("clone", False)
+
+    def test_edit_on_clone_replaces_only_its_memo(self, knowledge):
+        _memoized(knowledge)
+        clone = knowledge.clone()
+        clone.delete_example("ex1")
+        assert clone.version is not knowledge.version
+        assert _memoized(clone, value="edited") == ("edited", True)
+        assert _memoized(knowledge) == ("fresh", False)
+
+    def test_edit_on_live_replaces_only_its_memo(self, knowledge):
+        _memoized(knowledge)
+        clone = knowledge.clone()
+        knowledge.delete_example("ex1")
+        assert _memoized(knowledge, value="edited") == ("edited", True)
+        assert _memoized(clone) == ("fresh", False)
+
+    def test_shared_empty_memo_is_replaced_not_reused(self, knowledge):
+        clone = knowledge.clone()
+        knowledge.delete_example("ex1")  # before any entry exists
+        assert _memoized(clone, value="clone") == ("clone", True)
+        assert _memoized(knowledge, value="live") == ("live", True)
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_every_mutator_gives_a_fresh_memo(self, knowledge, mutation):
+        knowledge.add_schema_element(SchemaElement("se9", "ORGS", "COUNTRY"))
+        clone = knowledge.clone()
+        _memoized(knowledge)
+        _MUTATIONS[mutation](knowledge)
+        assert _memoized(knowledge, value="after") == ("after", True)
+        assert _memoized(clone, value="clone") == ("fresh", False)
+
+    def test_restore_resets_memo(self, knowledge):
+        snapshot = knowledge.snapshot()
+        _memoized(knowledge)
+        knowledge.restore(snapshot)
+        assert _memoized(knowledge, value="restored") == ("restored", True)
+        empty = KnowledgeSet("empty")
+        _memoized(empty)
+        empty.restore(KnowledgeSet("empty").snapshot())
+        assert _memoized(empty, value="restored") == ("restored", True)
+
+    def test_overflow_clears_memo(self, knowledge, monkeypatch):
+        from repro.knowledge import store
+
+        monkeypatch.setattr(store, "DERIVED_SIZE", 3)
+        version = knowledge.version
+        for key in ("a", "b", "c"):
+            _memoized(knowledge, key=key)
+        assert _memoized(knowledge, key="a") == ("fresh", False)
+        assert _memoized(knowledge, key="d") == ("fresh", True)
+        assert knowledge.version is version
+        assert _memoized(knowledge, key="d") == ("fresh", False)
+        assert _memoized(knowledge, key="a") == ("fresh", True)
 
 
 class TestDecompositionBuilders:

@@ -219,6 +219,71 @@ class TestKnowledgeCloneIsolation:
         assert hits(live) == expected_live
 
 
+class TestConcurrentSubmissions:
+    def test_concurrent_submits_match_serial_reports(
+        self, experiment_context
+    ):
+        """Solvers over clones of one live set share its version memo.
+
+        Each submission reads and fills that memo from its own thread
+        (concurrent misses compute the same entry twice, last write
+        wins), so every report must equal the one a serial run on a
+        private copy produces.
+        """
+        from repro.feedback import FeedbackSolver, GoldenQuery
+        from repro.knowledge import KnowledgeSet
+        from repro.pipeline import GenEditPipeline
+
+        database = experiment_context.profiles["sports_holdings"].database
+        snapshot = experiment_context.knowledge_sets[
+            "sports_holdings"
+        ].snapshot()
+        golden = [
+            GoldenQuery(entry.question, entry.sql)
+            for entry in experiment_context.workload.training_logs[
+                "sports_holdings"
+            ][:3]
+        ]
+        sessions = [
+            ("What is the average outlay?",
+             "'outlay' refers to the EXPENSES column in SPORTS_FINANCIALS."),
+            ("How many organisations are in Canada?",
+             "'Canada' is a value of SPORTS_ORGS.COUNTRY."),
+        ]
+
+        def submit(live, index):
+            question, feedback = sessions[index % len(sessions)]
+            solver = FeedbackSolver(
+                GenEditPipeline(database, live.clone()),
+                golden_queries=golden,
+            )
+            solver.ask(question)
+            solver.give_feedback(feedback)
+            solver.stage()
+            solver.regenerate()
+            submission = solver.submit()
+            return submission.regression_report, submission.knowledge_gate
+
+        threads = 4
+        serial = [
+            submit(KnowledgeSet(snapshot["name"]).restore(snapshot), index)
+            for index in range(threads)
+        ]
+        live = KnowledgeSet(snapshot["name"]).restore(snapshot)
+        reports = [None] * threads
+
+        def worker(index):
+            reports[index] = submit(live, index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == serial
+
+
 class TestCircuitBreakerAtomicity:
     def _half_open_breaker(self):
         breaker = CircuitBreaker(threshold=1, cooldown=1)

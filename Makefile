@@ -18,7 +18,8 @@
 #                   repro watch over a fresh two-run ledger must report
 #                   zero level shifts
 #   make perf-smoke - columnar micro-ops vs the row oracle; fails if any
-#                   executor op drops below the 1.5x speedup gate, or if a
+#                   executor op drops below the 1.5x speedup gate or the
+#                   literal IN-list filter below 8x, or if a
 #                   knowledge-set clone + first search drops below 5x
 #                   over a rebuild from a snapshot, or if regression
 #                   testing against a warm live-version memo drops below

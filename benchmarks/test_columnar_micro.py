@@ -1,13 +1,15 @@
 """Columnar-engine micro-ops: before/after ratios against the row oracle.
 
-Four operator-level benchmarks — vectorized filter, hash equi-join, hash
-group-by, and batched top-k retrieval — each timed twice over the same
+Five operator-level benchmarks — vectorized filter, literal IN-list probe,
+hash equi-join, hash group-by, and batched top-k retrieval — each timed
+twice over the same
 inputs: "before" through the frozen row-at-a-time path (the
 :class:`~repro.engine.reference.ReferenceExecutor` oracle, or the
 per-document cosine loop for retrieval) and "after" through the columnar
 executor / postings-batched index. The ratios are printed with
 :func:`~repro.bench.harness.format_table` and the executor ops are gated
-at >=1.5x so a regression in the columnar fast paths fails ``make
+at >=1.5x (the IN list, whose set probe replaces a per-item ``equals``
+loop, at >=8x) so a regression in the columnar fast paths fails ``make
 perf-smoke`` (part of ``make lint``) instead of silently eating the
 speedup. Timings take the best of several repeats, so the gate tolerates
 a noisy machine; the margin on a quiet one is far above 1.5x.
@@ -26,6 +28,9 @@ from repro.text.similarity import cosine_with_norms
 
 #: Minimum before/after speedup for the executor micro-ops.
 EXECUTOR_GATE = 1.5
+#: Minimum speedup for the IN-list filter: the columnar path probes a set
+#: of the literals instead of comparing each row with each item.
+IN_LIST_GATE = 8.0
 
 _ROWS = 2400
 _REGIONS = ("north", "south", "east", "west")
@@ -96,6 +101,11 @@ FILTER_SQL = (
     "SELECT FACT_ID, AMOUNT FROM FACT"
     " WHERE AMOUNT > 25.0 AND AMOUNT < 90.0 AND DIM_ID <> 7"
 )
+IN_LIST_SQL = (
+    "SELECT FACT_ID, AMOUNT FROM FACT"
+    " WHERE TO_CHAR(SEEN, 'YYYY\"Q\"Q') IN ('2023Q1', '2023Q3')"
+    " AND DIM_ID <> 7"
+)
 JOIN_SQL = (
     "SELECT F.FACT_ID, D.REGION FROM FACT F JOIN DIM D"
     " ON F.DIM_ID = D.DIM_ID WHERE D.WEIGHT > 2.0"
@@ -120,6 +130,7 @@ def test_columnar_micro_ops_beat_row_oracle():
         )
         for name, sql in (
             ("filter", FILTER_SQL),
+            ("IN list", IN_LIST_SQL),
             ("hash join", JOIN_SQL),
             ("group-by", GROUP_SQL),
         )
@@ -133,10 +144,11 @@ def test_columnar_micro_ops_beat_row_oracle():
         rows,
     ))
 
-    for name, _before, _after, ratio in rows[:3]:
-        assert ratio >= EXECUTOR_GATE, (
+    for name, _before, _after, ratio in rows[:4]:
+        gate = IN_LIST_GATE if name == "IN list" else EXECUTOR_GATE
+        assert ratio >= gate, (
             f"{name}: columnar path only {ratio:.2f}x over the row oracle "
-            f"(gate {EXECUTOR_GATE}x)"
+            f"(gate {gate}x)"
         )
 
 

@@ -26,6 +26,7 @@ from .errors import (
     UnknownFunctionError,
 )
 from .functions import call_scalar, is_scalar_function
+from .stats import bump
 from .values import (
     arithmetic,
     cast_value,
@@ -414,6 +415,33 @@ def _vector_negate(value):
     return -value
 
 
+#: Literal classes an IN list can probe as a set, by exact type: within a
+#: class, compare() is plain Python ordering, so equality is set
+#: membership. bool (aligned to int by compare) and date subclasses are
+#: deliberately absent.
+_PROBE_CLASSES = (
+    frozenset({str}),
+    frozenset({int, float}),
+    frozenset({datetime.date}),
+)
+
+
+def _probe_set(items):
+    """``(needle types, members)`` for a literal IN list, or empty.
+
+    Every item must be a non-NULL :class:`ast.Literal` of one probe class.
+    NaN, which compare() finds equal to every number while a set finds it
+    equal to nothing, keeps the list on the equals() loop.
+    """
+    values = [item.value for item in items if isinstance(item, ast.Literal)]
+    if not values or len(values) < len(items):
+        return frozenset(), frozenset()
+    for types in _PROBE_CLASSES:
+        if all(type(value) in types and value == value for value in values):
+            return types, frozenset(values)
+    return frozenset(), frozenset()
+
+
 class _VectorCompiler:
     """Compiles expression ASTs into batched closures over a fixed schema."""
 
@@ -673,15 +701,27 @@ class _VectorCompiler:
         expr = self.compile(node.expr)
         items = [self.compile(item) for item in node.items]
         negated = node.negated
+        probe_types, members = _probe_set(node.items)
 
         def run(ctx, sel):
             needles = expr(ctx, sel)
             output = [None] * len(sel)
             saw_null = [False] * len(sel)
-            undecided = [
-                position for position, needle in enumerate(needles)
-                if needle is not None
-            ]
+            # NULL needles stay NULL; a needle whose exact type is the
+            # literals' class is a set probe (its comparisons can neither
+            # coerce nor see a NULL); the rest take the equals() loop below.
+            undecided = []
+            probed = False
+            for position, needle in enumerate(needles):
+                if needle is None:
+                    continue
+                if type(needle) in probe_types and needle == needle:
+                    output[position] = (needle in members) != negated
+                    probed = True
+                else:
+                    undecided.append(position)
+            if probed:
+                bump("in_list_probes")
             for item in items:
                 if not undecided:
                     break
@@ -691,7 +731,7 @@ class _VectorCompiler:
                 for position, value in zip(undecided, item_values):
                     verdict = equals(needles[position], value)
                     if verdict is True:
-                        output[position] = not negated if negated else True
+                        output[position] = not negated
                     else:
                         if verdict is None:
                             saw_null[position] = True

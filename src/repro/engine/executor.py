@@ -62,11 +62,12 @@ class Executor(ReferenceExecutor):
         """Execute ``query`` (SQL text or a parsed Query) and return a Result.
 
         Text goes through the shared parse cache — execution never mutates
-        the AST, so the same tree can safely serve the self-correction loop,
-        the final check, and the EX metric. The tree is logically rewritten
-        (constant folding, predicate pushdown) before columnar execution;
-        if execution raises, the row interpreter re-runs the original tree
-        so errors surface exactly as its own.
+        the AST, so the same tree can safely serve the self-correction loop
+        and the EX metric (the pipeline's final check reuses
+        self-correction's clean run rather than executing again). The tree
+        is logically rewritten (constant folding, predicate pushdown)
+        before columnar execution; if execution raises, the row interpreter
+        re-runs the original tree so errors surface exactly as its own.
         """
         if isinstance(query, str):
             query = parse_cached(query)

@@ -1,8 +1,9 @@
 """Module-level engine counters for the columnar execution pipeline.
 
 The bench profile (schema v3) reports a per-run engine breakdown: time in
-the logical-rewrite pass, time compiling vector closures, and how often the
-executor ran fully columnar versus falling back to the row path. Counters
+the logical-rewrite pass, time compiling vector closures, how often the
+executor ran fully columnar versus falling back to the row path, and how
+many batches answered a literal IN list by set probe. Counters
 are process-global because compiled closures and rewritten plans are shared
 across executor instances — resetting happens at profile boundaries.
 
@@ -26,6 +27,7 @@ _ZERO = {
     "error_reruns": 0,
     "hash_joins": 0,
     "loop_joins": 0,
+    "in_list_probes": 0,
 }
 
 ENGINE_STATS = dict(_ZERO)
@@ -76,7 +78,7 @@ def publish_engine_gauges(registry=None):
     with STATS_LOCK:
         counters = dict(ENGINE_STATS)
     for key in ("columnar_selects", "row_fallback_selects", "error_reruns",
-                "hash_joins", "loop_joins"):
+                "hash_joins", "loop_joins", "in_list_probes"):
         registry.set_gauge(f"engine.{key}", counters[key])
     return registry
 

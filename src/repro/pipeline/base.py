@@ -95,6 +95,10 @@ class PipelineContext:
     #: Name of the required operator whose failure ended the run ("" if
     #: the run reached the final check).
     failed_operator: str = ""
+    #: ``(sql, database version)`` of the candidate self-correction
+    #: executed cleanly, or ``None``. The final check trusts that run
+    #: instead of executing the same SQL on the same data again.
+    executed_clean: tuple | None = None
     #: ``callable(database) -> executor`` supplied by the pipeline so
     #: fault injection covers self-correction and the final check; ``None``
     #: (standalone operator tests) falls back to a plain ``Executor``.

@@ -92,6 +92,7 @@ class SelfCorrectionOperator(Operator):
                         f"Diagnostics:\n{findings}\nRegenerate the SQL.", sql,
                     )
                     continue
+                version = context.database.version
                 try:
                     with context.span("execute"):
                         executor.execute(sql)
@@ -114,6 +115,7 @@ class SelfCorrectionOperator(Operator):
                 attempt.set_attr("outcome", "ok")
             metrics.inc("self_correct.clean")
             context.sql = sql
+            context.executed_clean = (sql, version)
             context.attempts = attempts
             context.add_trace(
                 self.name,

@@ -71,8 +71,8 @@ def _degrade_plan_lint(context):
 
 def _degrade_self_correct(context):
     # The generated candidate stands un-corrected; the final check still
-    # decides whether the run succeeded.
-    pass
+    # executes it to decide whether the run succeeded.
+    context.executed_clean = None
 
 
 #: Degradation matrix: optional operators and the fallback that leaves the
@@ -125,7 +125,9 @@ class GenEditPipeline:
         :class:`~repro.resilience.FaultInjector`. The LLM is re-wrapped as
         retry(fault(llm)) and the operators rebuilt around it; the
         executors used by self-correction and the final check inject
-        through the same injector. Returns the injector.
+        through the same injector (a final check that reuses
+        self-correction's clean run executes nothing, so draws no
+        ``execute`` fault). Returns the injector.
         """
         if injector is None:
             if config is None:
@@ -152,9 +154,12 @@ class GenEditPipeline:
 
         The whole run executes under a root ``generate`` span on the
         context's tracer, with one child span per operator and a
-        ``final_check`` span around the closing execution — export the tree
-        with :meth:`GenerationResult.trace_records`. Per-operator wall time
-        feeds the process-wide metrics registry.
+        ``final_check`` span around the closing verdict — export the tree
+        with :meth:`GenerationResult.trace_records`. Each answer executes
+        once: when self-correction ran the final SQL cleanly on the
+        current database version, the final check reuses that verdict
+        (``reused=true`` on its span) instead of executing it again.
+        Per-operator wall time feeds the process-wide metrics registry.
 
         Operator exceptions never escape: optional operators degrade (see
         :data:`DEGRADATIONS`), required ones end the run as a failed
@@ -214,7 +219,7 @@ class GenEditPipeline:
                 )
             else:
                 with context.span("final_check") as check:
-                    success, error = self._final_check(context)
+                    success, error = self._final_check(context, check)
                     check.set_attr("success", success)
                     if error:
                         check.set_attr("error_text", error)
@@ -271,9 +276,13 @@ class GenEditPipeline:
         """
         return Executor(self.database).execute(sql)
 
-    def _final_check(self, context):
+    def _final_check(self, context, span):
         if not context.sql:
             return False, "no SQL generated"
+        if context.executed_clean == (context.sql, context.database.version):
+            span.set_attr("reused", True)
+            get_metrics().inc("pipeline.final_check.reused")
+            return True, ""
         try:
             self._make_executor(context.database).execute(context.sql)
         except (SqlError, ExecutionError) as error:

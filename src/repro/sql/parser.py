@@ -62,8 +62,8 @@ def parse_cached(sql):
     """Parse ``sql``, memoizing the AST across calls (LRU, keyed on text).
 
     The same statement is parsed repeatedly on the evaluation fast path —
-    self-correction executes it, the final check executes it again, and the
-    EX metric executes it once more — so the AST is cached and **shared**
+    self-correction lints and executes it, and the EX metric executes it
+    once more — so the AST is cached and **shared**
     between callers. Treat the returned tree as immutable: every in-repo
     rewrite (:func:`repro.sql.rewriter.to_cte_form`, and the decomposer
     through it) deep-copies before mutating. Callers that need a private,

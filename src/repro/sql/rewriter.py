@@ -183,8 +183,8 @@ def optimize_for_execution(query, database):
 
     The result is memoized on the query node keyed by database identity and
     version — parse-cache sharing means the same AST serves generation,
-    self-correction, the final check, and the EX metric, so the rewrite is
-    paid once per (query, catalog state).
+    self-correction, and the EX metric, so the rewrite is paid once per
+    (query, catalog state).
     """
     cached = getattr(query, "_optimized_plan", None)
     if (

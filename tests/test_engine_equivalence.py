@@ -93,6 +93,38 @@ STRESS_QUERIES = [
     " WHEN SALARY > 100 THEN 'high' ELSE 'low' END FROM EMP",
     "SELECT EMP_NAME, HIRED FROM EMP WHERE HIRED >= '2020-01-01'"
     " ORDER BY HIRED",
+    # Literal IN lists probe a set; NULL needles, NULL items and
+    # cross-type coercions must still answer as the row interpreter does.
+    "SELECT EMP_NAME FROM EMP WHERE CASE WHEN SALARY > 100 THEN NULL"
+    " ELSE EMP_NAME END IN ('Alan', 'Barbara', 'Grace')",
+    "SELECT EMP_NAME FROM EMP WHERE CASE WHEN SALARY > 100 THEN NULL"
+    " ELSE EMP_NAME END NOT IN ('Alan', 'Barbara')",
+    "SELECT EMP_NAME, CASE WHEN SALARY > 100 THEN NULL ELSE EMP_NAME END"
+    " IN ('Alan', 'Ada'), CASE WHEN SALARY > 100 THEN NULL ELSE EMP_NAME"
+    " END NOT IN ('Alan', 'Ada') FROM EMP",
+    "SELECT EMP_NAME, EMP_NAME IN ('Ada', NULL), EMP_NAME NOT IN"
+    " ('Ada', NULL) FROM EMP",
+    "SELECT EMP_NAME FROM EMP WHERE EMP_NAME NOT IN ('Grace', NULL)",
+    "SELECT EMP_NAME FROM EMP WHERE EMP_NAME IN ('Ada', 'Ada', '', 'ada',"
+    " 'ALAN', 'Alan')",
+    "SELECT EMP_NAME, EMP_NAME NOT IN ('', 'grace', 'Grace', 'Grace')"
+    " FROM EMP",
+    "SELECT EMP_NAME FROM EMP WHERE EMP_ID IN ('2', '4.0', 'x')",
+    "SELECT EMP_NAME, SALARY IN ('90', '95.0', '140') FROM EMP",
+    "SELECT EMP_NAME FROM EMP WHERE CAST(EMP_ID AS TEXT) IN (1, 3.0, 5)",
+    "SELECT EMP_NAME, CAST(EMP_ID AS TEXT) NOT IN (2, 4) FROM EMP",
+    "SELECT EMP_NAME FROM EMP WHERE EMP_NAME IN (1, 2)",
+    "SELECT EMP_NAME FROM EMP WHERE HIRED IN ('2020-01-15', '2019-06-01')",
+    "SELECT EMP_NAME, HIRED NOT IN ('2023-02-05') FROM EMP",
+    # One batch, three needle kinds: probed text, coerced integers, NULL.
+    "SELECT EMP_NAME, CASE WHEN EMP_ID = 6 THEN NULL WHEN EMP_ID > 3"
+    " THEN EMP_ID ELSE EMP_NAME END IN ('Ada', '5') FROM EMP",
+    "SELECT EMP_NAME FROM EMP WHERE EMP_ID IN (1.0, 3)",
+    "SELECT EMP_NAME, EMP_ID IN (1.0, 3), SALARY NOT IN (90, 95.0)"
+    " FROM EMP",
+    "SELECT EMP_NAME, ACTIVE IN (1, 2), ACTIVE NOT IN (0) FROM EMP",
+    "SELECT DEPT_ID, COUNT(*) FROM EMP WHERE DEPT_ID NOT IN (2)"
+    " GROUP BY DEPT_ID",
 ]
 
 
@@ -146,6 +178,63 @@ class TestStressEquivalence:
         # Stress queries are all valid SQL; a silent parse/exec error on
         # both sides would make the equivalence vacuous.
         assert outcome[0] == "ok", f"stress query failed: {outcome!r}"
+
+
+class TestInListProbe:
+    """Literal IN lists probe a set only where set membership is equality."""
+
+    def test_uncoercible_item_raises_like_the_oracle(self, demo_db):
+        outcome = assert_equivalent(
+            demo_db,
+            "SELECT EMP_NAME FROM EMP WHERE HIRED IN ('2020-01-15', 'soon')",
+        )
+        assert outcome[0] == "error"
+
+    def test_nan_needle_takes_the_equals_loop(self):
+        from repro.engine import Column, Database
+
+        database = Database("nan_probe")
+        database.create_table(
+            "T", [Column("X", "FLOAT", "Measure.")],
+            rows=[(float("nan"),), (1.0,), (None,), (2.0,)],
+        )
+        # compare() finds NaN equal to every number; a set finds it equal
+        # to nothing, so a probed NaN would answer the other way.
+        sql = "SELECT X IN (1, 3), X NOT IN (1, 3) FROM T"
+        assert Executor(database).execute(sql).rows == [
+            (True, False), (True, False), (None, None), (False, True),
+        ]
+        assert_equivalent(database, sql)
+        assert assert_equivalent(
+            database, "SELECT COUNT(*) FROM T WHERE X IN (7, 8)"
+        )[2] == [(1,)]
+
+    @pytest.mark.parametrize("values, probed", [
+        (["a", "b"], True),
+        ([1, 2.5], True),
+        ([datetime.date(2023, 1, 1)], True),
+        (["a", 1], False),
+        (["a", None], False),
+        ([True, 1], False),
+        ([1.0, float("nan")], False),
+        ([datetime.datetime(2023, 1, 1)], False),
+    ])
+    def test_probe_classes(self, values, probed):
+        from repro.engine.evaluator import _probe_set
+        from repro.sql import ast_nodes as ast
+
+        types, members = _probe_set([ast.Literal(value=v) for v in values])
+        assert bool(members) is probed
+        assert bool(types) is probed
+
+    def test_probe_counted_once_per_batch(self, demo_db):
+        from repro.engine.stats import engine_snapshot
+
+        before = engine_snapshot()["in_list_probes"]
+        Executor(demo_db).execute(
+            "SELECT EMP_NAME FROM EMP WHERE EMP_NAME IN ('Ada', 'Alan')"
+        )
+        assert engine_snapshot()["in_list_probes"] == before + 1
 
 
 class TestWorkloadEquivalence:

@@ -547,3 +547,169 @@ class TestSelfCorrectionSatellites:
             if call.operator in ("self_correct", "generate_sql")
         }
         assert models <= {"gpt-4o-mini"}
+
+
+class _ExecuteFaults(FaultInjector):
+    """Injects only at the ``execute`` site, on the listed occurrences
+    (every one when ``occurrences`` is None); LLM calls run clean."""
+
+    def __init__(self, occurrences=None):
+        super().__init__(FaultConfig(
+            rate=1.0, error_share=1.0, timeout_share=0.0,
+            garble_share=0.0, latency_share=0.0,
+        ), scope="demo")
+        self.occurrences = occurrences
+        self.calls = 0
+
+    def decide(self, site):
+        if site != "execute":
+            return None
+        self.calls += 1
+        if self.occurrences is not None and self.calls not in self.occurrences:
+            return None
+        return super().decide(site)
+
+
+class TestFinalCheckReuse:
+    """Each answer executes once: the final check reuses self-correction's
+    clean run, and every other path still executes."""
+
+    QUESTION = "How many departments are there?"
+
+    @pytest.fixture()
+    def pipeline(self, demo_db):
+        from repro.knowledge import LoggedQuery, mine_knowledge_set
+        from repro.pipeline import GenEditPipeline
+
+        log = [
+            LoggedQuery("q1", self.QUESTION, "SELECT COUNT(*) FROM DEPT",
+                        "hr analytics"),
+            LoggedQuery("q2", "What is the total salary?",
+                        "SELECT SUM(SALARY) FROM EMP", "hr analytics"),
+        ]
+        return GenEditPipeline(demo_db, mine_knowledge_set(demo_db, log, []))
+
+    @pytest.fixture()
+    def executed(self, monkeypatch):
+        from repro.engine.executor import Executor
+        from repro.pipeline import pipeline as pipeline_module
+
+        executed = []
+
+        class CountingExecutor:
+            def __init__(self, database):
+                self._inner = Executor(database)
+
+            def execute(self, sql):
+                executed.append(sql)
+                return self._inner.execute(sql)
+
+        # Self-correction builds its executor through the pipeline's
+        # factory, so this counts both of its executions and the final
+        # check's.
+        monkeypatch.setattr(pipeline_module, "Executor", CountingExecutor)
+        return executed
+
+    @staticmethod
+    def _final_check_attrs(result):
+        return next(
+            record["attributes"] for record in result.trace_records()
+            if record["name"] == "final_check"
+        )
+
+    @staticmethod
+    def _wrap_self_correct(monkeypatch, after):
+        from repro.pipeline.correction import SelfCorrectionOperator
+
+        original = SelfCorrectionOperator.run
+
+        def run(self, context):
+            original(self, context)
+            after(context)
+            return context
+
+        monkeypatch.setattr(SelfCorrectionOperator, "run", run)
+
+    def test_clean_answer_executes_once(self, pipeline, executed):
+        metrics = get_metrics()
+        before = metrics.counter_value("pipeline.final_check.reused")
+        result = pipeline.generate(self.QUESTION)
+        assert result.success and result.error == ""
+        assert executed == [result.sql]
+        assert self._final_check_attrs(result)["reused"] is True
+        assert metrics.counter_value(
+            "pipeline.final_check.reused"
+        ) == before + 1
+
+    def test_degraded_self_correction_still_executes(
+        self, pipeline, executed, monkeypatch
+    ):
+        def explode(context):
+            raise RuntimeError("self-correction broke after a clean run")
+
+        self._wrap_self_correct(monkeypatch, explode)
+        result = pipeline.generate(self.QUESTION)
+        assert result.degraded_operators == ("self_correct",)
+        assert result.context.executed_clean is None
+        assert executed == [result.sql, result.sql]
+        assert result.success and result.error == ""
+        assert "reused" not in self._final_check_attrs(result)
+
+    @pytest.mark.parametrize("bad_sql, runs_in_self_correct", [
+        ("SELECT SUM(COUNT(*)) FROM EMP", 1),    # lints clean, fails
+        ("SELECT NOPE FROM EMP", 0),             # lint-caught only
+    ])
+    def test_no_clean_candidate_still_executes(
+        self, pipeline, executed, monkeypatch, demo_db, bad_sql,
+        runs_in_self_correct,
+    ):
+        from repro.engine.errors import ExecutionError
+        from repro.engine.executor import Executor
+        from repro.pipeline.generation import GenerationOperator
+        from repro.sql.errors import SqlError
+
+        def generate_bad(self, context):
+            context.candidates = [bad_sql]
+            context.sql = bad_sql
+            return context
+
+        monkeypatch.setattr(GenerationOperator, "run", generate_bad)
+        with pytest.raises((SqlError, ExecutionError)) as raised:
+            Executor(demo_db).execute(bad_sql)
+        result = pipeline.generate(self.QUESTION)
+        assert result.context.executed_clean is None
+        assert executed == [bad_sql] * (runs_in_self_correct + 1)
+        assert not result.success
+        assert result.error == str(raised.value)
+
+    def test_insert_after_clean_run_forces_reexecution(
+        self, pipeline, executed, monkeypatch, demo_db
+    ):
+        def insert(context):
+            demo_db.table("DEPT").insert((4, "Ops", "East", 10.0))
+
+        self._wrap_self_correct(monkeypatch, insert)
+        result = pipeline.generate(self.QUESTION)
+        assert result.context.executed_clean[0] == result.sql
+        assert executed == [result.sql, result.sql]
+        assert result.success
+        assert "reused" not in self._final_check_attrs(result)
+
+    def test_injected_execute_error_still_fails_the_run(self, pipeline):
+        injector = pipeline.enable_faults(injector=_ExecuteFaults())
+        result = pipeline.generate(self.QUESTION)
+        assert result.context.executed_clean is None
+        assert not result.success
+        assert result.error.startswith("injected error in execute")
+        # Self-correction drew faults on its attempts; the final check
+        # executed and drew one more.
+        assert injector.injected == {FAULT_ERROR: injector.calls}
+        assert injector.calls == result.context.execution_caught + 1
+
+    def test_reused_verdict_draws_no_execute_fault(self, pipeline):
+        # Only a second execution would fault; reusing the clean run
+        # means there is none.
+        injector = pipeline.enable_faults(injector=_ExecuteFaults({2}))
+        result = pipeline.generate(self.QUESTION)
+        assert result.success
+        assert injector.calls == 1 and injector.injected == {}

@@ -23,7 +23,9 @@
 #                   knowledge-set clone + first search drops below 5x
 #                   over a rebuild from a snapshot, or if regression
 #                   testing against a warm live-version memo drops below
-#                   1.5x over a cold one
+#                   1.5x over a cold one, or if the operator digest trail
+#                   or plan lint takes more than 3% of a generate pass
+#                   over the dev questions (median of 7 paired rounds)
 #   make perfbench-test - the end-to-end benchmark's own tests; its tracer
 #                   wraps repro entry points by name, so a refactor under
 #                   src/ can break the benchmark without any tier-1 failure
@@ -109,7 +111,9 @@ telemetry-smoke:
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_columnar_micro.py \
 		benchmarks/test_knowledge_clone_micro.py \
-		benchmarks/test_regression_reuse_micro.py -q -s -p no:cacheprovider
+		benchmarks/test_regression_reuse_micro.py \
+		benchmarks/test_generate_bookkeeping_micro.py \
+		-q -s -p no:cacheprovider
 
 perfbench-test:
 	$(PYTHON) -m pytest -q perfbench/tests

@@ -33,6 +33,7 @@ DISTINCT, ORDER BY (expressions, output aliases, ordinals), LIMIT/OFFSET.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 
 from ..sql import ast_nodes as ast
@@ -83,6 +84,10 @@ def _stable_key(value):
     if value is None:
         return (0, "")
     if isinstance(value, (int, float)):
+        if value != value:
+            # NaN orders after every number, or the sort (which sees it
+            # as neither smaller nor larger) would keep input order.
+            return (1, math.inf, 1)
         return (1, float(value))
     return (2, str(value))
 

@@ -342,16 +342,26 @@ class _ReverseStr:
         return self.value == other.value
 
 
+#: The one NaN every comparable cell maps to. ``nan != nan``, but tuple
+#: equality and dict/set lookups test identity first (and a NaN hashes by
+#: identity), so sharing one object makes NaN rows compare equal and NaN
+#: group keys land in one group.
+NAN = float("nan")
+
+
 def comparable_cell(value, float_places=6):
     """Normalise a cell for result-set comparison (Execution Accuracy).
 
     Floats are rounded so that mathematically equivalent computations with
     different association orders still compare equal; ints and equal-valued
-    floats unify (5 == 5.0, as BIRD's EX comparison does).
+    floats unify (5 == 5.0, as BIRD's EX comparison does); every NaN
+    becomes :data:`NAN`.
     """
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, float):
+        if value != value:
+            return NAN
         if value.is_integer():
             return int(value)
         return round(value, float_places)

@@ -28,6 +28,24 @@ from dataclasses import dataclass, field
 _id_counter = itertools.count(1)
 
 
+def element_memo(component, name, compute):
+    """``compute(component)``, computed once and kept on ``component``.
+
+    For values derived only from a frozen component's fields (grounding
+    records, prompt lines, linking signatures). The value lands in the
+    instance ``__dict__`` under ``name``, not in a field, so repr,
+    equality and knowledge fingerprints never see it; an edit makes a new
+    component, which starts without it. Concurrent callers may each
+    compute the value, but publishing it is a single attribute store of
+    an immutable value, so a reader sees either nothing or all of it.
+    """
+    value = component.__dict__.get(name)
+    if value is None:
+        value = compute(component)
+        object.__setattr__(component, name, value)
+    return value
+
+
 def next_component_id(prefix):
     """Process-unique component id with a readable prefix."""
     return f"{prefix}-{next(_id_counter):05d}"

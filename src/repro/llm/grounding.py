@@ -87,10 +87,12 @@ class Grounder:
 class _Session:
     """One grounding attempt; tracks choices so alternates can swap them."""
 
-    def __init__(self, parsed, grounding_input):
+    def __init__(self, parsed, grounding_input, lexicon=None):
         self.parsed = parsed
         self.input = grounding_input
-        self.lexicon = SchemaLexicon(grounding_input.schema_elements)
+        if lexicon is None:
+            lexicon = SchemaLexicon(grounding_input.schema_elements)
+        self.lexicon = lexicon
         self.issues = []
         self.notes = []
         self._choice_points = []  # (description, alternate builder)
@@ -124,7 +126,9 @@ class _Session:
         results = []
         for _description, builder in self._choice_points[:limit]:
             try:
-                fresh = _Session(self.parsed, self.input)
+                # The lexicon is read-only once built; only the session's
+                # choices and issues must start fresh.
+                fresh = _Session(self.parsed, self.input, self.lexicon)
                 alternate = builder(fresh)
             except Exception:  # alternates must never break generation
                 continue

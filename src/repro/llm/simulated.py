@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 
+from ..knowledge.models import element_memo
 from ..pipeline.nlparse import canonicalize, parse_question
 from ..text.normalize import normalize
 from .grounding import Grounder, GroundingInput
@@ -45,6 +46,16 @@ def _token_set(text):
                 _TOKEN_SET_CACHE.clear()
             _TOKEN_SET_CACHE[text] = cached
     return cached
+
+
+def _link_signature(element):
+    """The element-side inputs of linking scores: retrieval-text tokens,
+    name tokens and lowered top values (computed once per element)."""
+    return (
+        _token_set(element.retrieval_text),
+        _token_set((element.column or element.table).replace("_", " ")),
+        tuple(str(value).lower() for value in element.top_values),
+    )
 
 
 class SimulatedLLM:
@@ -124,26 +135,9 @@ class SimulatedLLM:
         }
         scored = []
         for position, element in enumerate(schema_elements):
-            # The element-side scoring inputs (retrieval-text tokens, name
-            # tokens, lowered values) never change; computed once per
-            # element and kept on the instance across questions. Concurrent
-            # linkers may each compute the tuple, but publication is a
-            # single attribute store of an immutable value (atomic swap),
-            # so every reader sees either nothing or the full signature.
-            # Elements are frozen, so the memo bypasses ``__setattr__``; it
-            # lands in the instance ``__dict__``, not in a field, so repr,
-            # equality and knowledge fingerprints never see it.
-            cached = element.__dict__.get("_link_signature")
-            if cached is None:
-                cached = (
-                    _token_set(element.retrieval_text),
-                    _token_set(
-                        (element.column or element.table).replace("_", " ")
-                    ),
-                    tuple(str(value).lower() for value in element.top_values),
-                )
-                object.__setattr__(element, "_link_signature", cached)
-            tokens, name_tokens, lowered_values = cached
+            tokens, name_tokens, lowered_values = element_memo(
+                element, "_link_signature", _link_signature
+            )
             overlap = len(question_tokens & tokens)
             score = float(overlap)
             # A question word naming the column (or table) itself is a far

@@ -137,26 +137,36 @@ class Operator:
         raise NotImplementedError
 
 
+_MISSING = object()
+
+
+def _digest_id(item, attribute):
+    """``item.<attribute>`` (even an empty id), else ``repr(item)``.
+
+    The value of ``getattr(item, attribute, repr(item))``, but the ``repr``
+    is built only when the attribute is missing: as a default argument it
+    would be evaluated, in full, for every item on every request.
+    """
+    value = getattr(item, attribute, _MISSING)
+    return repr(item) if value is _MISSING else value
+
+
+def _ids(attribute, items):
+    return tuple(_digest_id(item, attribute) for item in items)
+
+
 #: Canonical per-operator output: the context state the operator owns, as a
 #: deterministic payload. Digesting these lets the run ledger attribute a
 #: run-to-run divergence to the first operator whose output changed
 #: (``python -m repro diff``, DESIGN.md §6d). Unknown operator names fall
-#: back to the final SQL, the one output every pipeline produces.
+#: back to the final SQL, the one output every pipeline produces. Payloads
+#: hold ids, rendered plans and SQL text only, never a component ``repr``.
 _DIGEST_PAYLOADS = {
     "reformulate": lambda c: c.reformulated,
     "classify_intents": lambda c: tuple(c.intent_ids),
-    "select_examples": lambda c: tuple(
-        getattr(example, "example_id", repr(example))
-        for example in c.examples
-    ),
-    "select_instructions": lambda c: tuple(
-        getattr(instruction, "instruction_id", repr(instruction))
-        for instruction in c.instructions
-    ),
-    "link_schema": lambda c: tuple(
-        getattr(element, "element_id", repr(element))
-        for element in c.schema_elements
-    ),
+    "select_examples": lambda c: _ids("example_id", c.examples),
+    "select_instructions": lambda c: _ids("instruction_id", c.instructions),
+    "link_schema": lambda c: _ids("element_id", c.schema_elements),
     "plan": lambda c: c.plan.render() if c.plan is not None else "",
     "lint_plan": lambda c: tuple(
         (finding.code, finding.step) for finding in c.plan_findings
@@ -166,6 +176,10 @@ _DIGEST_PAYLOADS = {
 }
 
 
+def _final_sql(context):
+    return (context.sql,)
+
+
 def operator_output_digest(name, context):
     """12-hex-char blake2b digest of operator ``name``'s canonical output.
 
@@ -173,7 +187,7 @@ def operator_output_digest(name, context):
     and SQL strings only — no timings, no object identities), so two run
     records can be compared digest-by-digest.
     """
-    payload = _DIGEST_PAYLOADS.get(name, lambda c: (c.sql,))(context)
+    payload = _DIGEST_PAYLOADS.get(name, _final_sql)(context)
     return hashlib.blake2b(
         repr((name, payload)).encode("utf-8"), digest_size=6
     ).hexdigest()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..knowledge.models import element_memo
 from ..text.normalize import normalize
 from .spec import JoinSpec
 
@@ -29,13 +30,19 @@ _EACH_ROW = re.compile(r"Each row is (?:a|an) ([^.]*)")
 
 @dataclass(frozen=True)
 class ColumnEntry:
+    """Everything the lexicon derives from one column element."""
+
     table: str
     column: str
     data_type: str
     surfaces: tuple
     tokens: tuple        # stemmed token tuples, one per surface
     top_values: tuple
-    rank: int            # position in the provided element ordering
+    #: ``(table, column, ref_table, ref_column)`` when the description
+    #: declares a foreign key, else ``None``.
+    fk_edge: tuple | None
+    is_date: bool
+    is_label: bool       # a TEXT column whose name contains NAME
 
 
 @dataclass(frozen=True)
@@ -46,66 +53,87 @@ class ColumnMatch:
     score: float
 
 
+def _table_surfaces(element):
+    surfaces = {element.table.lower().replace("_", " ")}
+    match = _EACH_ROW.search(element.description or "")
+    if match:
+        surfaces.add(match.group(1).strip().lower())
+    return frozenset(surfaces)
+
+
+def _column_entry(element):
+    table = element.table.upper()
+    column = element.column.upper()
+    description = element.description or ""
+    surfaces = [column.lower().replace("_", " ")]
+    also = _ALSO_CALLED.search(description)
+    if also:
+        surfaces.extend(
+            surface.strip().lower()
+            for surface in also.group(1).split(",")
+            if surface.strip()
+        )
+    fk = _FOREIGN_KEY.search(description)
+    return ColumnEntry(
+        table=table,
+        column=column,
+        data_type=element.data_type,
+        surfaces=tuple(surfaces),
+        tokens=tuple(tuple(normalize(surface)) for surface in surfaces),
+        top_values=tuple(element.top_values),
+        fk_edge=(
+            (table, column, fk.group(1).upper(), fk.group(2).upper())
+            if fk else None
+        ),
+        is_date=element.data_type == "DATE",
+        is_label="NAME" in column and element.data_type == "TEXT",
+    )
+
+
+def _element_record(element):
+    if element.is_table:
+        return _table_surfaces(element)
+    return _column_entry(element)
+
+
+def element_record(element):
+    """The lexicon's view of one schema element, computed once per element
+    (:func:`~repro.knowledge.models.element_memo`): a table element's
+    entity surfaces (a frozenset) or a column's :class:`ColumnEntry`."""
+    return element_memo(element, "_lexicon_record", _element_record)
+
+
 class SchemaLexicon:
-    """Phrase -> schema grounding over an ordered element list."""
+    """Phrase -> schema grounding over an ordered element list.
+
+    Construction only assembles ranks over the memoized per-element
+    records (:func:`element_record`).
+    """
 
     def __init__(self, schema_elements):
         self._columns = []
+        self._ranks = []     # linking rank of each entry in ``_columns``
         self._tables = {}
         self._entity_surfaces = {}
         self._fk_edges = []
         self._date_columns = {}
         self._label_columns = {}
         for rank, element in enumerate(schema_elements):
+            record = element_record(element)
+            table = element.table.upper()
+            self._tables.setdefault(table, rank)
             if element.is_table:
-                self._add_table(element, rank)
-            else:
-                self._add_column(element, rank)
+                self._entity_surfaces.setdefault(table, set()).update(record)
+                continue
+            if record.fk_edge is not None:
+                self._fk_edges.append(record.fk_edge)
+            if record.is_date:
+                self._date_columns.setdefault(table, record.column)
+            if record.is_label:
+                self._label_columns.setdefault(table, record.column)
+            self._columns.append(record)
+            self._ranks.append(rank)
         self._finalise()
-
-    # -- construction ----------------------------------------------------------
-
-    def _add_table(self, element, rank):
-        table = element.table.upper()
-        self._tables.setdefault(table, rank)
-        surfaces = {table.lower().replace("_", " ")}
-        match = _EACH_ROW.search(element.description or "")
-        if match:
-            surfaces.add(match.group(1).strip().lower())
-        self._entity_surfaces.setdefault(table, set()).update(surfaces)
-
-    def _add_column(self, element, rank):
-        table = element.table.upper()
-        column = element.column.upper()
-        self._tables.setdefault(table, rank)
-        description = element.description or ""
-        surfaces = [column.lower().replace("_", " ")]
-        also = _ALSO_CALLED.search(description)
-        if also:
-            surfaces.extend(
-                surface.strip().lower()
-                for surface in also.group(1).split(",")
-                if surface.strip()
-            )
-        fk = _FOREIGN_KEY.search(description)
-        if fk:
-            self._fk_edges.append(
-                (table, column, fk.group(1).upper(), fk.group(2).upper())
-            )
-        if element.data_type == "DATE":
-            self._date_columns.setdefault(table, column)
-        if "NAME" in column and element.data_type == "TEXT":
-            self._label_columns.setdefault(table, column)
-        entry = ColumnEntry(
-            table=table,
-            column=column,
-            data_type=element.data_type,
-            surfaces=tuple(surfaces),
-            tokens=tuple(tuple(normalize(surface)) for surface in surfaces),
-            top_values=tuple(element.top_values),
-            rank=rank,
-        )
-        self._columns.append(entry)
 
     def _finalise(self):
         self._total = max(len(self._columns), 1)
@@ -162,7 +190,7 @@ class SchemaLexicon:
             for table, column in boosted_columns
         }
         matches = []
-        for entry in self._columns:
+        for entry, rank in zip(self._columns, self._ranks):
             score = self._surface_score(phrase_tokens, entry)
             if score <= 0:
                 continue
@@ -171,7 +199,7 @@ class SchemaLexicon:
             if (entry.table, entry.column) in boosted:
                 score += 0.3
             # Earlier elements (higher linking rank) win ties.
-            score += 0.2 * (1.0 - entry.rank / self._total)
+            score += 0.2 * (1.0 - rank / self._total)
             matches.append(
                 ColumnMatch(entry.table, entry.column, entry.data_type, score)
             )

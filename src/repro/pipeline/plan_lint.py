@@ -18,6 +18,7 @@ mark steps that are suspicious but may still generate valid SQL
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -285,15 +286,34 @@ def _fragment_candidates(pseudo):
     yield f"SELECT * FROM _K WHERE {pseudo}"
 
 
+#: Bound on :func:`fragment_parses`' memo. The 132 dev questions try 153
+#: distinct wrapped fragments, so a whole harness run fits many times over
+#: while a long-lived server's memo stays bounded.
+FRAGMENT_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=FRAGMENT_MEMO_SIZE)
+def fragment_parses(text):
+    """Whether ``text`` parses as a query; memoized, failures included.
+
+    :func:`~repro.sql.parser.parse_cached` caches ASTs only, so a fragment
+    that fails re-raises (and is re-tokenized) on every call. Plan lint
+    only needs the verdict, and the same step fragments recur across
+    requests. Thread-safe: two threads missing the same text both parse
+    it and store the same verdict.
+    """
+    try:
+        parse(text)
+    except SqlError:
+        return False
+    return True
+
+
 def _check_step_parses(pseudo, number, findings):
     if not pseudo:
         return
-    for candidate in _fragment_candidates(pseudo):
-        try:
-            parse(candidate)
-            return
-        except SqlError:
-            continue
+    if any(map(fragment_parses, _fragment_candidates(pseudo))):
+        return
     findings.append(GP005.at(
         f"pseudo-SQL does not parse: {pseudo!r}", step=number,
     ))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..knowledge.models import element_memo
 from ..llm.interface import Prompt
 
 
@@ -41,6 +42,13 @@ def render_example(example):
 
 
 def render_schema_element(element):
+    """The element's schema line. Both the plan and the generation prompt
+    list the same linked elements, so the line is rendered once per element
+    (:func:`~repro.knowledge.models.element_memo`)."""
+    return element_memo(element, "_prompt_line", _render_schema_line)
+
+
+def _render_schema_line(element):
     if element.is_table:
         return f"TABLE {element.table}: {element.description}"
     entry = f"  {element.table}.{element.column} {element.data_type}"

@@ -70,6 +70,10 @@ def parse_cached(sql):
     mutable tree should use :func:`parse`.
 
     Parse failures are not cached; failing text re-raises on every call.
+    Callers that only need to know *whether* text parses, such as plan
+    lint trying fragment wrappings, use the bool memo
+    :func:`repro.pipeline.plan_lint.fragment_parses`, which caches
+    failures too.
     """
     return parse(sql)
 

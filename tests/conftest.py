@@ -84,3 +84,30 @@ def sports_pipeline(experiment_context):
     profile = experiment_context.profiles["sports_holdings"]
     knowledge = experiment_context.knowledge_sets["sports_holdings"]
     return GenEditPipeline(profile.database, knowledge)
+
+
+def generate_dev(experiment_context):
+    """question_id -> GenerationResult for the 132 dev questions, run
+    through one default ``GenEditPipeline`` per database."""
+    from repro.pipeline import GenEditPipeline
+
+    questions = experiment_context.workload.questions
+    pipelines = {
+        name: GenEditPipeline(
+            experiment_context.profiles[name].database,
+            experiment_context.knowledge_sets[name],
+        )
+        for name in sorted({question.database for question in questions})
+    }
+    return {
+        question.question_id: pipelines[question.database].generate(
+            question.question
+        )
+        for question in questions
+    }
+
+
+@pytest.fixture(scope="session")
+def dev_generations(experiment_context):
+    """:func:`generate_dev` over the shared context, run once."""
+    return generate_dev(experiment_context)

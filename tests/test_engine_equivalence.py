@@ -299,3 +299,58 @@ class TestComparableContract:
         # the same normalised tuple and the multiset keeps both copies.
         assert comparable.count((1.0, "x")) == 2
         assert len(comparable) == 3
+
+
+class TestNanComparable:
+    """Every NaN cell normalises to one shared NaN object, so EX and
+    grouping see NaN == NaN on both engines."""
+
+    NAN_EXPR = "X * 1e308 * 10 - X * 1e308 * 10"
+
+    @pytest.fixture()
+    def nan_db(self):
+        from repro.engine import Column, Database
+
+        database = Database("nan_cells")
+        database.create_table(
+            "T", [Column("X", "FLOAT", "Measure."),
+                  Column("G", "TEXT", "Group.")],
+            rows=[(1.0, "a"), (2.0, "a"), (3.0, "b"), (None, "b")],
+        )
+        return database
+
+    def test_nan_cells_share_one_object(self):
+        from repro.engine.values import NAN
+
+        assert comparable_cell(float("nan")) is NAN
+        assert comparable_cell(float("inf") - float("inf")) is NAN
+
+    def test_nan_result_matches_itself(self, nan_db):
+        from repro.bench.metrics import execution_match
+
+        sql = f"SELECT {self.NAN_EXPR} FROM T"
+        outcome = assert_equivalent(nan_db, sql)
+        assert outcome[0] == "ok"
+        assert len(outcome[2]) == 4
+        assert execution_match(nan_db, sql, sql)
+        assert not execution_match(nan_db, "SELECT X FROM T", sql)
+
+    def test_nan_rows_sort_the_same_from_any_input_order(self):
+        nan = float("nan")
+        rows = [(nan, "x"), (1.0, "y"), (None, "z"), (nan, "w")]
+        assert (
+            Result(["A", "B"], rows).comparable()
+            == Result(["A", "B"], rows[::-1]).comparable()
+        )
+
+    @pytest.mark.parametrize("group_by", [
+        "{nan}", "G, {nan}",
+    ])
+    def test_group_by_puts_nan_cells_in_one_group(self, nan_db, group_by):
+        key = group_by.format(nan=self.NAN_EXPR)
+        sql = f"SELECT {key}, COUNT(*) FROM T GROUP BY {key}"
+        outcome = assert_equivalent(nan_db, sql)
+        counts = sorted(row[-1] for row in outcome[2])
+        # NULL X makes a NULL key; the three finite X values one NaN key.
+        expected = [1, 3] if group_by == "{nan}" else [1, 1, 2]
+        assert counts == expected

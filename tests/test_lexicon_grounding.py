@@ -295,3 +295,106 @@ class TestGroundingShapes:
         candidate = ground("What is the total salary?", elements=elements)[0]
         # SALARY is unknowable; grounding degrades instead of crashing
         assert candidate.spec.base_table == "DEPT"
+
+
+def _fresh_copies(elements):
+    """Field-equal copies that carry no memoized lexicon record."""
+    import dataclasses
+
+    return [dataclasses.replace(element) for element in elements]
+
+
+def _lexicon_answers(lexicon, elements):
+    """Every match/join answer over phrases drawn from ``elements``."""
+    from repro.pipeline.lexicon import element_record
+
+    tables = sorted({element.table for element in elements})
+    columns = [element for element in elements if not element.is_table]
+    phrases = sorted({
+        surface
+        for element in columns
+        for surface in element_record(element).surfaces
+    } | {table.lower().replace("_", " ") for table in tables})
+    values = sorted({
+        str(value) for element in columns for value in element.top_values
+    })
+    return (
+        lexicon.tables(),
+        [lexicon.match_column(phrase) for phrase in phrases],
+        [
+            lexicon.match_column(phrase, tables[:1], [
+                (element.table, element.column) for element in columns[:2]
+            ])
+            for phrase in phrases
+        ],
+        [lexicon.match_entity(phrase) for phrase in phrases],
+        [lexicon.match_value(value) for value in values],
+        [
+            lexicon.join_between(left, right)
+            for left in tables for right in tables if left != right
+        ],
+        [
+            (lexicon.date_column(table), lexicon.label_column(table))
+            for table in tables
+        ],
+    )
+
+
+class TestMemoizedRecords:
+    def test_dev_subsets_match_lexicons_built_from_scratch(
+        self, dev_generations
+    ):
+        subsets = [
+            result.context.schema_elements
+            for result in dev_generations.values()
+            if result.context.schema_elements
+        ]
+        assert len(subsets) == 132
+        for elements in subsets:
+            # The shared elements already carry records from the dev run.
+            memoized = SchemaLexicon(elements)
+            scratch = SchemaLexicon(_fresh_copies(elements))
+            assert _lexicon_answers(memoized, elements) == _lexicon_answers(
+                scratch, elements
+            )
+
+    def test_edited_element_gets_a_fresh_record(self):
+        import dataclasses
+
+        from repro.knowledge import KnowledgeSet
+        from repro.pipeline.lexicon import element_record
+
+        knowledge = KnowledgeSet("demo")
+        for element in make_elements():
+            knowledge.add_schema_element(element)
+        before = knowledge.schema_element("s5")
+        assert SchemaLexicon(knowledge.schema_elements()).match_column(
+            "outlay"
+        ) == []
+        knowledge.add_schema_element(dataclasses.replace(
+            before, description="Annual budget. Also called: outlay.",
+        ))
+        after = knowledge.schema_element("s5")
+        assert element_record(after) is not element_record(before)
+        assert element_record(before).surfaces == ("budget",)
+        match = SchemaLexicon(knowledge.schema_elements()).match_column(
+            "outlay"
+        )[0]
+        assert (match.table, match.column) == ("DEPT", "BUDGET")
+
+    def test_alternates_reuse_the_session_lexicon(self, monkeypatch):
+        import repro.llm.grounding as grounding
+
+        built = []
+
+        class CountingLexicon(SchemaLexicon):
+            def __init__(self, schema_elements):
+                built.append(1)
+                super().__init__(schema_elements)
+
+        monkeypatch.setattr(grounding, "SchemaLexicon", CountingLexicon)
+        candidates = ground(
+            "Show the total pay of employees in each department"
+        )
+        assert len(candidates) > 1
+        assert len(built) == 1

@@ -216,3 +216,95 @@ class TestPipelineWiring:
         )
         for outcome in report.outcomes:
             assert outcome.plan_codes == ()
+
+
+def _uncached_parses(text):
+    """The pre-memo check: one uncached ``parse`` per wrapped form."""
+    from repro.sql.errors import SqlError
+    from repro.sql.parser import parse
+
+    try:
+        parse(text)
+    except SqlError:
+        return False
+    return True
+
+
+def _corpus_plans(demo_db):
+    """(plan, database, subset) for every plan-corpus fixture."""
+    import json
+    import pathlib
+
+    corpus = pathlib.Path(__file__).parent / "fixtures" / "plan_corpus"
+    for path in sorted(corpus.glob("*.json")):
+        payload = json.loads(path.read_text())
+        plan = make_plan(*(
+            (step["description"], step.get("pseudo_sql", ""))
+            for step in payload["steps"]
+        ))
+        subset_tables = payload.get("subset")
+        yield plan, demo_db, (
+            subset(*subset_tables) if subset_tables is not None else None
+        )
+
+
+def _dev_plans(dev_generations, experiment_context):
+    """(plan, database, subset) for each dev primary plan and every
+    alternate candidate plan ``GenerationOperator`` lints."""
+    from repro.pipeline.planning import build_plan_steps
+
+    questions = {
+        question.question_id: question
+        for question in experiment_context.workload.questions
+    }
+    for question_id, result in dev_generations.items():
+        context = result.context
+        database = experiment_context.profiles[
+            questions[question_id].database
+        ].database
+        elements = context.schema_elements or None
+        if context.plan is not None:
+            yield context.plan, database, elements
+        for candidate in getattr(context, "grounding_candidates", ())[1:]:
+            steps = build_plan_steps(candidate.spec)
+            yield Plan(steps=steps, spec=candidate.spec), database, elements
+
+
+class TestFragmentMemo:
+    def test_findings_match_uncached_parse(
+        self, demo_db, dev_generations, experiment_context, monkeypatch
+    ):
+        from repro.pipeline import plan_lint
+
+        plans = [
+            *_corpus_plans(demo_db),
+            *_dev_plans(dev_generations, experiment_context),
+        ]
+        assert len(plans) > 132
+        memoized = [lint_plan(*plan) for plan in plans]
+        monkeypatch.setattr(plan_lint, "fragment_parses", _uncached_parses)
+        uncached = [lint_plan(*plan) for plan in plans]
+        assert memoized == uncached
+        assert any("GP005" in codes(found) for found in memoized)
+
+    def test_failing_fragment_is_false_on_every_call(self):
+        from repro.pipeline.plan_lint import fragment_parses
+
+        text = "SELECT * FROM _K WHERE )) ORDER (( -- memo test"
+        before = fragment_parses.cache_info()
+        assert fragment_parses(text) is False
+        assert fragment_parses(text) is False
+        after = fragment_parses.cache_info()
+        assert after.misses == before.misses + 1
+        assert after.hits == before.hits + 1
+
+    def test_memo_is_bounded(self):
+        from repro.pipeline.plan_lint import (
+            FRAGMENT_MEMO_SIZE,
+            fragment_parses,
+        )
+
+        assert fragment_parses.cache_info().maxsize == FRAGMENT_MEMO_SIZE
+        for number in range(FRAGMENT_MEMO_SIZE + 10):
+            fragment_parses(f"SELECT {number} FROM _K")
+        assert fragment_parses.cache_info().currsize == FRAGMENT_MEMO_SIZE
